@@ -350,6 +350,8 @@ def duality_pairing_vec(cat, F, T: TensorData, D: DualityData, obj):
     s_da_inv = solve_matrix(s_da, Matrix.identity(field, s_da.rows))
     f = T.f_unit
     f_inv = solve_matrix(f, Matrix.identity(field, f.rows))
+    if s_da_inv is None or f_inv is None:
+        raise PresentationError("comparison isos at %r are singular" % obj)
     eta_vec = s_da_inv @ path_eval(cat, F, eta_path) @ f
     eps_vec = f_inv @ path_eval(cat, F, eps_path) @ s_ad
     return eta_vec, eps_vec

@@ -12,14 +12,19 @@ as the solution space of the naturality equations, and ``pairing_to_nat``
 / ``nat_to_pairing`` realize the pairing between the two, functional by
 functional.
 
-Cocomposition and the counit are solved for on the quotient through the
-section and then verified blockwise, so the dinaturality arguments that
-make them well defined become machine checks.
+Every map out of the quotient that is defined blockwise on the ambient
+sum descends through one path, ``CoendPresentation.push_to_quotient``:
+it solves through the section and then verifies, for maps on the ambient
+sum (Δ, ε, the antipode, ρ̃) and on its tensor square (the
+multiplication) alike, so the dinaturality arguments that make them well
+defined become machine checks.  The evaluation and coevaluation forms
+placed on the blocks come from ``moncat.standard_pairing``.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
                      rref)
+from .moncat import standard_pairing
 from .report import Report, VerificationError, check_equal
 
 
@@ -53,20 +58,12 @@ class CoendPresentation:
                 return fd, gd
         raise KeyError("object %r not in coend index" % obj)
 
-    def block_inclusion(self, obj) -> Matrix:
-        """K^{F-dim·G-dim} → ambient, the coordinate inclusion of the block."""
-        fd, gd = self.block_dims(obj)
-        size = fd * gd
-        out = Matrix.zeros(self.field, self.ambient_dim, size)
-        off = self.offsets[obj]
-        one = self.field.one()
-        for k in range(size):
-            out.data[off + k][k] = one
-        return out
-
     def lam(self, obj) -> Matrix:
-        """λ_C: F(C)⊗G(C)^∨ → quotient, the structural inclusion."""
-        return self.proj @ self.block_inclusion(obj)
+        """λ_C: F(C)⊗G(C)^∨ → quotient, the columns of proj at the block."""
+        fd, gd = self.block_dims(obj)
+        off = self.offsets[obj]
+        return Matrix(self.field, [row[off:off + fd * gd]
+                                   for row in self.proj.data], cols=fd * gd)
 
     def assemble_on_blocks(self, block_maps, codomain_dim) -> Matrix:
         """Glue per-object maps on ambient blocks into one map on the ambient."""
@@ -80,14 +77,26 @@ class CoendPresentation:
         return out
 
     def push_to_quotient(self, ambient_map: Matrix, name: str) -> Matrix:
-        """Solve h∘proj = ambient_map through the section, then verify.
+        """Solve h∘π = ambient_map through the section, then verify.
 
-        The candidate is ambient_map∘section; it factors through the
-        quotient exactly when ambient_map kills the relation span, which
-        is re-checked here rather than assumed.
+        The single descent path to the quotient.  The domain is read from
+        ``ambient_map.cols``: the ambient sum (π = proj) or its tensor
+        square (π = proj⊗proj, solved through section⊗section), where
+        the multiplication lives.  The candidate factors through π
+        exactly when ambient_map kills the relations, which is re-checked
+        here rather than assumed.
         """
-        candidate = ambient_map @ self.section
-        if not (candidate @ self.proj == ambient_map):
+        n = self.ambient_dim
+        if ambient_map.cols == n:
+            proj, section = self.proj, self.section
+        elif ambient_map.cols == n * n:
+            proj = kron(self.proj, self.proj)
+            section = kron(self.section, self.section)
+        else:
+            raise ValueError("%s has %d columns, not %d or %d"
+                             % (name, ambient_map.cols, n, n * n))
+        candidate = ambient_map @ section
+        if not (candidate @ proj == ambient_map):
             raise VerificationError(
                 "%s does not descend to the coend quotient "
                 "(a dinaturality premise failed)" % name)
@@ -286,10 +295,7 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
         gd = P_FG.block_dims(obj)[1]
         id_f = Matrix.identity(field, fd)
         id_hdual = Matrix.identity(field, hd)
-        coeval = Matrix.zeros(field, gd * gd, 1)
-        one = field.one()
-        for i in range(gd):
-            coeval.data[i * gd + i][0] = one
+        coeval = standard_pairing(gd, field).coeval
         insert = kron(kron(id_f, coeval), id_hdual)
         blocks[obj] = kron(P_FG.lam(obj), P_GH.lam(obj)) @ insert
     codomain = P_FG.quotient_dim * P_GH.quotient_dim
@@ -347,13 +353,7 @@ def counit(P: CoendPresentation) -> Matrix:
     """ε: End^∨(F) → K with ε∘λ_C the evaluation form on F(C)⊗F(C)^∨."""
     if P.F is not P.G and P.F.on_objects != P.G.on_objects:
         raise ValueError("counit needs an End presentation (F = G)")
-    field = P.field
-    blocks = {}
-    for obj, fd, gd in P.object_index:
-        ev = Matrix.zeros(field, 1, fd * gd)
-        one = field.one()
-        for i in range(min(fd, gd)):
-            ev.data[0][i * gd + i] = one
-        blocks[obj] = ev
+    blocks = {obj: standard_pairing(fd, P.field).eval
+              for obj, fd, _ in P.object_index}
     ambient_map = P.assemble_on_blocks(blocks, 1)
     return P.push_to_quotient(ambient_map, "counit")

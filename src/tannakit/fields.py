@@ -40,9 +40,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a == self.zero()
 
@@ -197,11 +194,3 @@ def field_from_config(cfg) -> Field:
     if isinstance(cfg, dict) and set(cfg) == {"Fp"}:
         return GF(int(cfg["Fp"]))
     raise FieldError("unrecognized field config: %r" % (cfg,))
-
-
-def field_to_config(field: Field):
-    if isinstance(field, RationalField):
-        return "Q"
-    if isinstance(field, PrimeField):
-        return {"Fp": field.p}
-    raise FieldError("unrecognized field: %r" % (field,))

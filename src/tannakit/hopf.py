@@ -11,6 +11,7 @@ from itertools import product
 
 from .fields import QQ
 from .linalg import Matrix, kron, swap_matrix
+from .moncat import standard_pairing
 from .report import Check, Report, check_equal
 
 
@@ -232,7 +233,6 @@ def comatrix_coalgebra(n: int, field=QQ) -> CoalgebraData:
     """V⊗V^∨ with Δ(e_i⊗e_j^∨) = Σ_k (e_i⊗e_k^∨)⊗(e_k⊗e_j^∨), ε = δ_ij."""
     dim = n * n
     delta = Matrix.zeros(field, dim * dim, dim)
-    eps = Matrix.zeros(field, 1, dim)
     one = field.one()
     for i in range(n):
         for j in range(n):
@@ -240,9 +240,7 @@ def comatrix_coalgebra(n: int, field=QQ) -> CoalgebraData:
             for k in range(n):
                 row = (i * n + k) * dim + (k * n + j)
                 delta.data[row][col] = one
-            if i == j:
-                eps.data[0][col] = one
-    return CoalgebraData(dim, delta, eps)
+    return CoalgebraData(dim, delta, standard_pairing(n, field).eval)
 
 
 class UnsupportedCoalgebraError(ValueError):

@@ -67,9 +67,6 @@ class Matrix:
     def row(cls, field, entries):
         return cls(field, [list(entries)])
 
-    def copy(self):
-        return Matrix(self.field, self.data, cols=self.cols)
-
     # -- linear-map view ----------------------------------------------
 
     @property
@@ -208,26 +205,8 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
-
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    """Block-diagonal sum a ⊕ b."""
-    out = Matrix.zeros(a.field, a.rows + b.rows, a.cols + b.cols)
-    for i in range(a.rows):
-        out.data[i][:a.cols] = list(a.data[i])
-    for i in range(b.rows):
-        out.data[a.rows + i][a.cols:] = list(b.data[i])
-    return out
 
 
 def swap_matrix(field, a: int, b: int) -> Matrix:
@@ -333,10 +312,6 @@ class SubspaceBasis:
         return "SubspaceBasis(dim %d of K^%d)" % (self.dim, self.ambient_dim)
 
 
-def row_space(m: Matrix) -> SubspaceBasis:
-    return SubspaceBasis(m.field, m.cols, m.data)
-
-
 def kernel_basis(f: Matrix) -> SubspaceBasis:
     """Basis of { v : f v = 0 }; dimension = domain_dim − rank(f)."""
     field = f.field
@@ -351,11 +326,6 @@ def kernel_basis(f: Matrix) -> SubspaceBasis:
             v[p] = field.neg(ech.data[r][c])
         vectors.append(v)
     return SubspaceBasis(field, f.cols, vectors)
-
-
-def image_basis(f: Matrix) -> SubspaceBasis:
-    """Column space of f, canonicalized as an echelon basis."""
-    return row_space(f.transpose())
 
 
 def solve(a: Matrix, b):
@@ -373,9 +343,6 @@ def solve(a: Matrix, b):
     return x
 
 
-solve_linear_system = solve
-
-
 def solve_matrix(a: Matrix, b: Matrix):
     """One solution X of a X = b, or None.  Solved column by column."""
     cols = []
@@ -389,27 +356,6 @@ def solve_matrix(a: Matrix, b: Matrix):
         for i, v in enumerate(x):
             out.data[i][j] = v
     return out
-
-
-def intersect_subspaces(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
-    """Intersection via the kernel of the stacked coefficient matrix."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    field = u.field
-    if u.dim == 0 or v.dim == 0:
-        return SubspaceBasis(field, u.ambient_dim, [])
-    # columns: coefficients on u-basis then v-basis; rows: ambient coords
-    cols = [list(w) for w in u.vectors] + [[field.neg(x) for x in w] for w in v.vectors]
-    stacked = Matrix(field, cols).transpose()
-    ker = kernel_basis(stacked)
-    vectors = []
-    for coeffs in ker.vectors:
-        vec = [field.zero()] * u.ambient_dim
-        for c, w in zip(coeffs[:u.dim], u.vectors):
-            for i, x in enumerate(w):
-                vec[i] = field.add(vec[i], field.mul(c, x))
-        vectors.append(vec)
-    return SubspaceBasis(field, u.ambient_dim, vectors)
 
 
 def quotient(ambient_dim: int, relations: SubspaceBasis):

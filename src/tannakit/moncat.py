@@ -232,7 +232,6 @@ def dual_map(f: Matrix, p_dom: DualPairing, p_cod: DualPairing) -> Matrix:
     if p_cod.space_dim != f.domain_dim:
         raise ValueError("p_cod must pair the domain of f")
     field = f.field
-    id_x = Matrix.identity(field, p_dom.space_dim)
     id_xd = Matrix.identity(field, p_dom.space_dim)
     id_yd = Matrix.identity(field, p_cod.space_dim)
     step1 = kron(id_xd, p_cod.coeval)              # X^∨ → X^∨⊗Y⊗Y^∨

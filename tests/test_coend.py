@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from tannakit import (FiberFunctor, Generator, Matrix, PresentedCategory, QQ,
-                      SubspaceBasis, check_dinaturality, cocomposition,
-                      coevaluation, counit, kron, nat_space, natvee,
-                      pairing_bijection_report, pairing_to_nat, rref)
+                      SubspaceBasis, VerificationError, check_dinaturality,
+                      cocomposition, coevaluation, counit, kron, nat_space,
+                      natvee, pairing_bijection_report, pairing_to_nat, rref)
 from tannakit.coend import relation_vectors
 
 from conftest import load_fixture, rand_matrix
@@ -94,6 +96,21 @@ def test_universality_of_quotient(rng):
     h = rand_matrix(rng, QQ, 1, P.quotient_dim) @ P.proj
     assert P.kills_relations(h)
     assert (h @ P.section) @ P.proj == h
+
+
+def test_push_to_quotient_reads_domain_from_columns(rng):
+    doc = load_fixture("z2_regular")
+    P = natvee(doc.category, doc.functor, doc.functor)
+    xi = rand_matrix(rng, QQ, 1, P.quotient_dim)
+    assert P.push_to_quotient(xi @ P.proj, "h") == xi
+    xi2 = rand_matrix(rng, QQ, 1, P.quotient_dim ** 2)
+    assert P.push_to_quotient(xi2 @ kron(P.proj, P.proj), "h2") == xi2
+    bump = Matrix.zeros(QQ, 1, P.ambient_dim)
+    bump.data[0][P.relation_span.pivots()[0]] = QQ.one()
+    with pytest.raises(VerificationError):
+        P.push_to_quotient(bump, "bump")
+    with pytest.raises(ValueError):
+        P.push_to_quotient(Matrix.zeros(QQ, 1, P.ambient_dim + 1), "bad")
 
 
 def test_nat_space_no_constraints():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tannakit import GF, QQ, FieldError
-from tannakit.fields import field_from_config, field_to_config
+from tannakit.fields import field_from_config
 
 
 def test_rational_normalization():
@@ -47,13 +47,11 @@ def test_field_axioms_exact():
             assert f7.add(a, b) == f7.add(b, a)
             assert f7.mul(a, b) == f7.mul(b, a)
             if b != 0:
-                assert f7.mul(f7.div(a, b), b) == a
+                assert f7.mul(f7.mul(a, f7.inv(b)), b) == a
 
 
 def test_field_config_codec():
     assert field_from_config("Q") == QQ
     assert field_from_config({"Fp": 3}) == GF(3)
-    assert field_to_config(QQ) == "Q"
-    assert field_to_config(GF(3)) == {"Fp": 3}
     with pytest.raises(FieldError):
         field_from_config({"weird": 1})

@@ -1,9 +1,8 @@
 from fractions import Fraction
 from itertools import combinations
 
-from tannakit import (GF, Matrix, QQ, SubspaceBasis, direct_sum, image_basis,
-                      intersect_subspaces, kernel_basis, kron, quotient, rank,
-                      rref, solve, solve_matrix, swap_matrix)
+from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
+                      quotient, rank, rref, solve, solve_matrix, swap_matrix)
 
 from conftest import rand_matrix
 
@@ -147,28 +146,12 @@ def test_solve_and_image():
     assert a.apply(x) == [Fraction(5), Fraction(11)]
     assert solve(Matrix.from_ints(QQ, [[1, 1], [1, 1]]),
                  [Fraction(0), Fraction(1)]) is None
-    img = image_basis(Matrix.from_ints(QQ, [[1, 2], [2, 4]]))
-    assert img.dim == 1
 
 
 def test_solve_matrix_inverse():
     a = Matrix.from_ints(QQ, [[2, 1], [1, 1]])
     inv = solve_matrix(a, Matrix.identity(QQ, 2))
     assert a @ inv == Matrix.identity(QQ, 2)
-
-
-def test_intersect_subspaces():
-    u = SubspaceBasis(QQ, 3, [[1, 0, 0], [0, 1, 0]])
-    v = SubspaceBasis(QQ, 3, [[0, 1, 0], [0, 0, 1]])
-    w = intersect_subspaces(u, v)
-    assert w.dim == 1 and w.contains([0, 1, 0])
-
-
-def test_direct_sum():
-    a = Matrix.from_ints(QQ, [[1]])
-    b = Matrix.from_ints(QQ, [[2, 0], [0, 3]])
-    s = direct_sum(a, b)
-    assert s == Matrix.from_ints(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
 
 
 def test_prime_field_linalg():

@@ -10,6 +10,7 @@ from tannakit import (CoalgebraData, ComoduleData, Matrix, QQ,
                       intertwines_all, kron, lift_functor,
                       morphism_image_span, natvee, pairing_to_nat, rank,
                       rep_of_comodule, rho_tilde)
+from tannakit.catpres import PresentationError
 from tannakit.hopf import enumerate_linear_maps
 
 from conftest import load_fixture
@@ -70,6 +71,22 @@ def test_endvee_antipode_trivial():
     hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
                            doc.duality, P)
     assert hopf.antipode == Matrix.identity(QQ, 1)
+
+
+def test_endvee_bialgebra_singular_unit_raises():
+    doc, P = endvee("z2_character")
+    doc.tensor.f_unit = Matrix.from_ints(QQ, [[0]])
+    with pytest.raises(VerificationError):
+        endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
+
+
+def test_endvee_antipode_singular_unit_raises():
+    doc, P = endvee("z2_character")
+    big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
+    doc.tensor.f_unit = Matrix.from_ints(QQ, [[0]])
+    with pytest.raises(PresentationError):
+        endvee_antipode(doc.category, doc.functor, doc.tensor, doc.duality,
+                        P, bialgebra=big)
 
 
 def test_lift_trivial():
