@@ -11,7 +11,7 @@ expressions rides along.
 
 from .fields import GF, QQ, Field, FieldError, PrimeField, RationalField
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
-                     rank, rref, solve, solve_matrix, swap_matrix)
+                     rank, rref, solve, solve_matrix)
 from .moncat import (AdjacentSwap, Compose, DualPairing, Identity, SymExpr,
                      Tensor, block_swap, check_triangles, coherence_equal,
                      dual_map, eval_in_vec, format_expr, parse_expr, perm_of,
@@ -28,7 +28,7 @@ from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, UnsupportedCoalgebraError, characters,
                    check_character, check_comodule, check_comodule_morphism,
                    comatrix_coalgebra, convolution, convolution_group,
-                   convolve_functionals, flip_coaction, grouplike_group,
+                   convolve_functionals, grouplike_group,
                    grouplikes, is_grouplike, scalar_algebra)
 from .report import Check, Report, VerificationError, check_equal, max_norm
 from .tannaka import (alpha_tilde, comodule_morphism_space, endvee_antipode,

@@ -13,7 +13,7 @@ coherence diagram becomes an exact matrix identity.
 """
 
 from .fields import field_from_config
-from .linalg import Matrix, kron, swap_matrix, solve_matrix
+from .linalg import Matrix, kron, permute_cols, solve_matrix, swap_perm
 from .moncat import DualPairing
 from .report import Check, Report, check_equal
 
@@ -278,7 +278,7 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
     for (c, d), psi_path in T.symmetry.items():
         fpsi = path_eval(cat, F, psi_path)
         lhs = fpsi @ T.s_map(c, d)
-        rhs = T.s_map(d, c) @ swap_matrix(field, F.dim(c), F.dim(d))
+        rhs = permute_cols(T.s_map(d, c), swap_perm(F.dim(c), F.dim(d)))
         report.add(check_equal("symmetry_diagram:%s,%s" % (c, d), lhs, rhs))
     return report
 

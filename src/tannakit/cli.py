@@ -17,7 +17,7 @@ from .coend import nat_space, natvee, pairing_bijection_report
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
 from .linalg import rank
-from .moncat import coherence_equal, eval_in_vec, parse_expr
+from .moncat import ExprError, coherence_equal, eval_in_vec, parse_expr
 from .report import Check, Report
 from .tannaka import (endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       lift_functor, rho_tilde)
@@ -205,7 +205,22 @@ def cmd_nat(args):
     return _emit(payload, report, args.json)
 
 
+def _dims_flag(flag: str):
+    dims = {}
+    for part in flag.split(","):
+        atom, _, d = part.partition("=")
+        try:
+            dim = int(d)
+        except ValueError:
+            dim = 0
+        if not atom.strip() or dim < 1:
+            raise SystemExit("--dims must be atom=<positive int>,..., got %r" % part)
+        dims[atom.strip()] = dim
+    return dims
+
+
 def cmd_coherence(args):
+    dims = _dims_flag(args.dims) if args.dims else None
     report = Report()
     e1 = parse_expr(args.expr1)
     e2 = parse_expr(args.expr2)
@@ -217,13 +232,12 @@ def cmd_coherence(args):
                      residue="0" if equal else "distinct permutations"))
     payload = {"expr1": args.expr1.strip(), "expr2": args.expr2.strip(),
                "equal": equal}
-    if args.dims:
-        dims = {}
-        for part in args.dims.split(","):
-            atom, d = part.split("=")
-            dims[atom.strip()] = int(d)
-        m1 = eval_in_vec(e1, dims)
-        m2 = eval_in_vec(e2, dims)
+    if dims is not None:
+        try:
+            m1 = eval_in_vec(e1, dims)
+            m2 = eval_in_vec(e2, dims)
+        except ExprError as exc:
+            raise SystemExit("--dims: %s" % exc)
         agree = (m1 == m2) == equal
         report.add(Check("matrix_evaluation_agrees", agree,
                          residue="0" if agree else "semantic disagreement"))

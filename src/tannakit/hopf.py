@@ -3,14 +3,15 @@ and comodules over a finite-dimensional carrier, with every axiom an
 exact matrix identity, plus the convolution algebra, comatrix coalgebras,
 grouplike elements and characters.
 
-Comodules are left comodules throughout: ρ: M → B⊗M.  A source written
-in the right orientation M → M⊗B can be adapted with ``flip_coaction``.
+Comodules are left comodules throughout: ρ: M → B⊗M.  The symmetry ψ
+in the bialgebra law is an index map (``linalg.swap_perm``), applied
+without building its matrix.
 """
 
 from itertools import product
 
 from .fields import QQ
-from .linalg import Matrix, kron, swap_matrix
+from .linalg import Matrix, kron, kron_perm, permute_cols, swap_perm
 from .moncat import standard_pairing
 from .report import Check, Report, check_equal
 
@@ -111,11 +112,9 @@ class BialgebraData:
         report = Report()
         report.extend(self.coalgebra.checks())
         report.extend(self.algebra.checks())
-        psi = swap_matrix(field, n, n)
-        ident = Matrix.identity(field, n)
+        mid = kron_perm(kron_perm(range(n), swap_perm(n, n)), range(n))
         lhs = self.delta @ self.m
-        rhs = (kron(self.m, self.m) @ kron(kron(ident, psi), ident)
-               @ kron(self.delta, self.delta))
+        rhs = permute_cols(kron(self.m, self.m), mid) @ kron(self.delta, self.delta)
         report.add(check_equal("bialgebra_delta_m", lhs, rhs))
         report.add(check_equal("bialgebra_eps_m", self.eps @ self.m,
                                kron(self.eps, self.eps)))
@@ -190,11 +189,6 @@ class ComoduleData:
         report.add(check_equal("coaction_coassoc", lhs, rhs))
         report.add(check_equal("coaction_counit", kron(B.eps, id_m) @ self.rho, id_m))
         return report
-
-
-def flip_coaction(rho_right: Matrix, coalgebra_dim: int, space_dim: int) -> Matrix:
-    """Adapt a right-oriented coaction M → M⊗B to the left orientation."""
-    return swap_matrix(rho_right.field, space_dim, coalgebra_dim) @ rho_right
 
 
 def check_comodule(m: ComoduleData, B: CoalgebraData) -> bool:

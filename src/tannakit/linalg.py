@@ -9,6 +9,12 @@ The Kronecker index convention is fixed globally: the basis vector
 products associate left-to-right and are fully flattened.  All structural
 isomorphisms of the tensor product of spaces are identity reindexings
 under this convention.
+
+Permutations of basis vectors, such as the factor swap ψ: V⊗W → W⊗V, are
+index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
+``swap_perm`` and ``kron_perm`` build them, ``permute_cols`` applies one on
+the right of a matrix without building it, and ``perm_matrix`` builds the
+dense matrix only where a caller needs one.
 """
 
 from .fields import Field
@@ -209,13 +215,36 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
-def swap_matrix(field, a: int, b: int) -> Matrix:
-    """Commutation matrix V⊗W → W⊗V sending e_j⊗e_k to e_k⊗e_j (dims a, b)."""
-    out = Matrix.zeros(field, a * b, a * b)
+# -- permutations as index maps ---------------------------------------
+
+
+def swap_perm(a: int, b: int) -> tuple:
+    """The commutation V⊗W → W⊗V (dims a, b): e_j⊗e_k ↦ e_k⊗e_j."""
+    return tuple(k * a + j for j in range(a) for k in range(b))
+
+
+def kron_perm(p, q) -> tuple:
+    """Tensor product of two permutations: e_i⊗e_j ↦ e_p[i]⊗e_q[j]."""
+    n = len(q)
+    return tuple(i * n + j for i in p for j in q)
+
+
+def permute_cols(m: Matrix, perm) -> Matrix:
+    """``m @ P`` for the permutation P: column j of the result is column
+    ``perm[j]`` of m."""
+    if len(perm) != m.cols:
+        raise ValueError("permutation of %d indices after a matrix with %d columns"
+                         % (len(perm), m.cols))
+    return Matrix(m.field, [[row[p] for p in perm] for row in m.data],
+                  cols=m.cols)
+
+
+def perm_matrix(field, perm) -> Matrix:
+    """Dense matrix of the permutation sending e_j to e_perm[j]."""
+    out = Matrix.zeros(field, len(perm), len(perm))
     one = field.one()
-    for j in range(a):
-        for k in range(b):
-            out.data[k * a + j][j * b + k] = one
+    for j, p in enumerate(perm):
+        out.data[p][j] = one
     return out
 
 

@@ -3,7 +3,10 @@
 Expressions are built from identities and adjacent symmetries ψ with
 composition and tensor; equality of two expressions with the same
 boundary words is decided by comparing their underlying permutations,
-and can be cross-checked by exact matrix evaluation in Vec.
+and can be cross-checked by exact matrix evaluation in Vec.  That oracle
+composes the expression's permutation of tensor basis vectors as an index
+tuple and materializes one matrix per expression, after bounding the word
+dimension by ``MAX_WORD_DIM``.
 
 Also houses dual pairings (evaluation/coevaluation with the snake
 identities) and the dual of a linear map computed through pairings.
@@ -14,9 +17,11 @@ composition and ``(e1 * e2)`` for tensor.
 """
 
 from .fields import QQ
-from .linalg import Matrix, kron, swap_matrix
+from .linalg import Matrix, kron, kron_perm, perm_matrix, swap_perm
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
+
+MAX_WORD_DIM = 1024  # largest word dimension eval_in_vec builds a matrix for
 
 
 class ExprError(ValueError):
@@ -139,10 +144,24 @@ def coherence_equal(e1: SymExpr, e2: SymExpr) -> bool:
 
 
 def eval_in_vec(e: SymExpr, dims, field=QQ) -> Matrix:
-    """Exact matrix of the expression once each atom gets a dimension."""
+    """Exact matrix of the expression once each atom gets a dimension.
+
+    Raises ``ExprError`` before allocating anything when an atom has no
+    positive integer dimension or the word dimension exceeds
+    ``MAX_WORD_DIM``.
+    """
     for atom in set(e.domain) | set(e.codomain):
         if atom not in dims:
             raise ExprError("no dimension assigned to atom %r" % atom)
+        d = dims[atom]
+        if not isinstance(d, int) or d < 1:
+            raise ExprError("dimension of atom %r must be a positive integer, got %r"
+                            % (atom, d))
+    size = 1
+    for atom in e.domain:
+        size *= dims[atom]
+        if size > MAX_WORD_DIM:
+            raise ExprError("word dimension exceeds %d" % MAX_WORD_DIM)
     return _eval(e, dims, field)
 
 
@@ -154,20 +173,24 @@ def _word_dim(word, dims):
 
 
 def _eval(e, dims, field):
+    return perm_matrix(field, _basis_perm(e, dims))
+
+
+def _basis_perm(e, dims):
+    """Where the expression sends each basis vector of its domain word."""
     if isinstance(e, Identity):
-        return Matrix.identity(field, _word_dim(e.word, dims))
+        return tuple(range(_word_dim(e.word, dims)))
     if isinstance(e, AdjacentSwap):
-        left = _word_dim(e.word[:e.pos], dims)
-        a = dims[e.word[e.pos]]
-        b = dims[e.word[e.pos + 1]]
-        right = _word_dim(e.word[e.pos + 2:], dims)
-        mid = swap_matrix(field, a, b)
-        return kron(kron(Matrix.identity(field, left), mid),
-                    Matrix.identity(field, right))
+        left = range(_word_dim(e.word[:e.pos], dims))
+        mid = swap_perm(dims[e.word[e.pos]], dims[e.word[e.pos + 1]])
+        right = range(_word_dim(e.word[e.pos + 2:], dims))
+        return kron_perm(kron_perm(left, mid), right)
     if isinstance(e, Compose):
-        return _eval(e.then, dims, field) @ _eval(e.first, dims, field)
+        p = _basis_perm(e.first, dims)
+        q = _basis_perm(e.then, dims)
+        return tuple(q[i] for i in p)
     if isinstance(e, Tensor):
-        return kron(_eval(e.left, dims, field), _eval(e.right, dims, field))
+        return kron_perm(_basis_perm(e.left, dims), _basis_perm(e.right, dims))
     raise ExprError("not a SymExpr: %r" % (e,))
 
 

@@ -3,8 +3,8 @@
 Always: End^∨(F) is a coalgebra (cocomposition + counit).  With valid
 tensor data it becomes a bialgebra: the multiplication is induced
 blockwise by λ_{C⊗D}∘(s_{C,D}⊗s_{C,D}^{-∨}) after reordering the four
-tensor factors with an explicit middle-swap permutation matrix, and the
-unit by λ_{I}∘(f⊗f^{-∨}).  With valid duality data it becomes a Hopf
+tensor factors with the middle-swap index map (never built as a matrix),
+and the unit by λ_{I}∘(f⊗f^{-∨}).  With valid duality data it becomes a Hopf
 algebra: the antipode acts on the block at C by moving it to the block
 at C^∧ through the canonical identifications ι_C: F(C) → F(C^∧)^∨ and
 ι'_C: F(C)^∨ → F(C^∧) read off from the evaluated unit/counit of the
@@ -23,8 +23,8 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule, check_comodule_morphism,
                    comatrix_coalgebra, convolve_functionals)
-from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, solve_matrix,
-                     swap_matrix)
+from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, kron_perm,
+                     permute_cols, solve_matrix, swap_perm)
 from .moncat import standard_pairing
 from .report import Check, Report, VerificationError, check_equal
 
@@ -51,9 +51,9 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
             sinv = solve_matrix(smap, Matrix.identity(field, smap.rows))
             if sinv is None:
                 raise VerificationError("comparison s at (%s, %s) is singular" % (c, d))
-            mid = kron(kron(Matrix.identity(field, dc), swap_matrix(field, dc, dd)),
-                       Matrix.identity(field, dd))
-            block = (P.lam(T.obj(c, d)) @ kron(smap, sinv.transpose()) @ mid)
+            mid = kron_perm(kron_perm(range(dc), swap_perm(dc, dd)), range(dd))
+            block = permute_cols(P.lam(T.obj(c, d)) @ kron(smap, sinv.transpose()),
+                                 mid)
             offc, offd = P.offsets[c], P.offsets[d]
             for a in range(dc * dc):
                 for b in range(dd * dd):
@@ -93,7 +93,7 @@ def endvee_antipode(cat, F, T, D, P: CoendPresentation,
         for a in range(ddual):
             for j in range(d):
                 iota_p.data[a][j] = eta_vec.data[a * d + j][0]
-        blocks[obj] = (P.lam(dual) @ swap_matrix(field, ddual, ddual)
+        blocks[obj] = (permute_cols(P.lam(dual), swap_perm(ddual, ddual))
                        @ kron(iota, iota_p))
     ambient_map = P.assemble_on_blocks(blocks, P.quotient_dim)
     antipode = P.push_to_quotient(ambient_map, "antipode")

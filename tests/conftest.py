@@ -31,6 +31,20 @@ def rand_matrix(rng, field, rows, cols, lo=-3, hi=3, denom=False):
                   cols=cols)
 
 
+def dense_swap(field, a, b):
+    """Dense commutation matrix V⊗W → W⊗V (dims a, b): e_j⊗e_k ↦ e_k⊗e_j.
+
+    The reference that the index-map permutations of ``linalg`` are
+    checked against.
+    """
+    out = Matrix.zeros(field, a * b, a * b)
+    one = field.one()
+    for j in range(a):
+        for k in range(b):
+            out.data[k * a + j][j * b + k] = one
+    return out
+
+
 def rand_invertible(rng, field, n):
     from tannakit import solve_matrix
     while True:

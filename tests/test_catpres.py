@@ -1,13 +1,13 @@
 import pytest
 
 from tannakit import (FiberFunctor, Generator, Matrix, PresentedCategory, QQ,
-                      check_triangles, dual_map, kron, path_eval,
+                      check_equal, check_triangles, dual_map, kron, path_eval,
                       solve_matrix, standard_pairing, validate_duality_data,
                       validate_functor, validate_tensor_data)
 from tannakit.catpres import (PresentationError, dual_generator_map,
                               duality_as_pairing, duality_pairing_vec)
 
-from conftest import load_fixture, rand_matrix
+from conftest import dense_swap, load_fixture, rand_matrix
 
 
 def z2_category():
@@ -147,6 +147,78 @@ def test_tensor_naturality_violation_detected():
     report = validate_tensor_data(cat, F, T)
     names = {c.name: c.passed for c in report.checks}
     assert not names["s_naturality:g,id_star"]
+
+
+def sorted_word_tensor(letter_dims, symmetry):
+    """Strict tensor structure on words of letters read up to order.
+
+    C⊗D is the sorted concatenation of the two words ("I" is the empty
+    word), F of a word is the tensor product of its letters' spaces in
+    sorted order, and s_{C,D} is the permutation of tensor factors that
+    sorts C·D stably.  The table covers words of up to three letters, which
+    is all that validation of the one-letter objects reads.  Because
+    C⊗D = D⊗C, every declared symmetry is the identity path on C⊗D, and
+    its square holds exactly when s_{D,C}∘ψ = s_{C,D}.
+    """
+    from itertools import combinations_with_replacement, product
+    from tannakit import TensorData
+    from tannakit.catpres import Path
+
+    letters = sorted(letter_dims)
+    name = lambda word: "".join(sorted(word)) or "I"
+    words = [w for k in range(4) for w in combinations_with_replacement(letters, k)]
+    dims = {}
+    for w in words:
+        dims[name(w)] = 1
+        for x in w:
+            dims[name(w)] *= letter_dims[x]
+
+    def flat(idx, factors):
+        out = 0
+        for i, x in zip(idx, factors):
+            out = out * letter_dims[x] + i
+        return out
+
+    table, s = {}, {}
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > 3:
+                continue
+            table[(name(x), name(y))] = name(x + y)
+            joined = x + y
+            order = sorted(range(len(joined)), key=lambda i: joined[i])
+            n = dims[name(joined)]
+            sort = Matrix.zeros(QQ, n, n)
+            for idx in product(*(range(letter_dims[c]) for c in joined)):
+                src = flat(idx, joined)
+                dst = flat([idx[i] for i in order], [joined[i] for i in order])
+                sort.data[dst][src] = QQ.one()
+            s[(name(x), name(y))] = sort
+    cat = PresentedCategory(["I"] + letters, [])
+    F = FiberFunctor(QQ, dims, {})
+    sym = {(c, d): Path(table[(c, d)], table[(c, d)]) for c, d in symmetry}
+    T = TensorData("I", table, s, Matrix.identity(QQ, 1), symmetry=sym)
+    return cat, F, T
+
+
+def test_symmetry_square_passes_for_the_factor_swap():
+    # c and d of dimensions 2 and 3: s_{d,c} sorts d·c back to c·d, which
+    # is exactly the inverse of the factor swap F(c)⊗F(d) → F(d)⊗F(c)
+    cat, F, T = sorted_word_tensor({"c": 2, "d": 3}, [("c", "d"), ("d", "c")])
+    report = validate_tensor_data(cat, F, T)
+    names = {c.name: c.passed for c in report.checks}
+    assert names["symmetry_diagram:c,d"] and names["symmetry_diagram:d,c"]
+    assert report.passed
+
+
+def test_symmetry_square_fails_for_the_identity_on_a_square():
+    # the identity of F(c)⊗F(c) is not the factor swap once dim F(c) = 2
+    cat, F, T = sorted_word_tensor({"c": 2, "d": 3}, [("c", "c")])
+    report = validate_tensor_data(cat, F, T)
+    assert [c.name for c in report.failures()] == ["symmetry_diagram:c,c"]
+    s_cc = T.s_map("c", "c")
+    dense = check_equal("symmetry_diagram:c,c", s_cc, s_cc @ dense_swap(QQ, 2, 2))
+    assert report.failures()[0].residue == dense.residue
 
 
 # -- duality data -------------------------------------------------------

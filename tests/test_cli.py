@@ -142,6 +142,23 @@ def test_coherence_unequal_pair(capsys):
     assert "FAIL expressions_equal" in out
 
 
+@pytest.mark.parametrize("dims", ["x", "x=y", "x=-1", "x=0", "x=2,y", "=2",
+                                  "x=\u00b2", "x=2"])
+def test_coherence_bad_dims_exit_with_one_line(capsys, dims):
+    # "x=2" leaves y without a dimension
+    with pytest.raises(SystemExit) as info:
+        main(["coherence", "swap[x,y;0]", "swap[x,y;0]", "--dims", dims])
+    message = str(info.value.code)
+    assert message.startswith("--dims") and "\n" not in message
+
+
+def test_coherence_word_dimension_capped(capsys):
+    word = ",".join(["x"] * 11)
+    with pytest.raises(SystemExit) as info:
+        main(["coherence", "id[%s]" % word, "id[%s]" % word, "--dims", "x=2"])
+    assert "word dimension exceeds" in str(info.value.code)
+
+
 def test_unknown_fixture_errors(capsys):
     with pytest.raises(SystemExit):
         main(["validate", "--fixture", "no_such_fixture"])

@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from tannakit import (GF, AlgebraData, BialgebraData, CoalgebraData,
-                      ComoduleData, HopfData, Matrix, QQ,
+                      ComoduleData, HopfData, Matrix, QQ, check_equal, kron,
                       UnsupportedCoalgebraError, characters, check_character,
                       check_comodule, check_comodule_morphism,
                       comatrix_coalgebra, convolution, convolution_group,
-                      convolve_functionals, flip_coaction, grouplike_group,
-                      grouplikes, scalar_algebra, swap_matrix)
+                      convolve_functionals, grouplike_group, grouplikes,
+                      scalar_algebra)
 from tannakit.hopf import enumerate_linear_maps
 
-from conftest import rand_matrix
+from conftest import dense_swap, rand_matrix
 
 
 def group_algebra_z2(field=QQ):
@@ -44,6 +44,34 @@ def function_coalgebra_z2(field=QQ):
 def test_group_algebra_axioms():
     H = group_algebra_z2()
     assert H.checks().passed
+
+
+def test_incompatible_structures_fail_delta_m():
+    # on K^3 with basis x_0, x_1, x_2: the group law of ℤ/3 as the algebra
+    # and its dual Δ(x_g) = Σ_{a+b=g} x_a⊗x_b as the coalgebra are each
+    # valid, but in the same basis they are not a bialgebra
+    n = 3
+    one = QQ.one()
+    delta = Matrix.zeros(QQ, n * n, n)
+    m = Matrix.zeros(QQ, n, n * n)
+    for a in range(n):
+        for b in range(n):
+            delta.data[a * n + b][(a + b) % n] = one
+            m.data[(a + b) % n][a * n + b] = one
+    eps = Matrix.zeros(QQ, 1, n)
+    eps.data[0][0] = one
+    u = Matrix.zeros(QQ, n, 1)
+    u.data[0][0] = one
+    coalg, alg = CoalgebraData(n, delta, eps), AlgebraData(n, m, u)
+    assert coalg.checks().passed and alg.checks().passed
+    report = BialgebraData(coalg, alg).checks()
+    got = {c.name: c for c in report.checks}["bialgebra_delta_m"]
+    ident = Matrix.identity(QQ, n)
+    dense_rhs = (kron(m, m) @ kron(kron(ident, dense_swap(QQ, n, n)), ident)
+                 @ kron(delta, delta))
+    expected = check_equal("bialgebra_delta_m", delta @ m, dense_rhs)
+    assert not got.passed and not expected.passed
+    assert got.residue == expected.residue
 
 
 def test_coalgebra_axiom_violation_detected():
@@ -80,15 +108,6 @@ def test_identity_is_comodule_morphism():
     C = function_coalgebra_z2()
     com = ComoduleData(2, 2, C.delta)
     assert check_comodule_morphism(Matrix.identity(QQ, 2), com, com, C)
-
-
-def test_flip_coaction():
-    # a right coaction M → M⊗B flipped to the left orientation passes the
-    # left laws: build it by swapping a known-good left coaction first
-    C = function_coalgebra_z2()
-    left = C.delta
-    right = swap_matrix(QQ, 2, 2) @ left          # M⊗B orientation
-    assert flip_coaction(right, 2, 2) == left
 
 
 def test_convolution_unit_law(rng):

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
 
-from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
-                      quotient, rank, rref, solve, solve_matrix, swap_matrix)
+import pytest
 
-from conftest import rand_matrix
+from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
+                      quotient, rank, rref, solve, solve_matrix)
+from tannakit.linalg import kron_perm, perm_matrix, permute_cols, swap_perm
+
+from conftest import dense_swap, rand_matrix
 
 
 def minor_rank(m):
@@ -111,9 +114,52 @@ def test_kron_index_convention():
 
 
 def test_swap_matrix_involution():
-    s = swap_matrix(QQ, 2, 3)
-    t = swap_matrix(QQ, 3, 2)
+    s = perm_matrix(QQ, swap_perm(2, 3))
+    t = perm_matrix(QQ, swap_perm(3, 2))
     assert t @ s == Matrix.identity(QQ, 6)
+
+
+# -- permutations as index maps, against dense permutation matrices ----
+
+
+def test_swap_perm_matches_dense_swap():
+    for field in (QQ, GF(5)):
+        for a in range(1, 5):
+            for b in range(1, 5):
+                assert perm_matrix(field, swap_perm(a, b)) == dense_swap(field, a, b)
+
+
+def test_swap_perm_inverse():
+    for a in range(1, 5):
+        for b in range(1, 5):
+            s, t = swap_perm(a, b), swap_perm(b, a)
+            assert tuple(t[i] for i in s) == tuple(range(a * b))
+
+
+def test_permute_cols_matches_dense_product(rng):
+    for field in (QQ, GF(7)):
+        for a, b, left, right in [(2, 3, 1, 1), (3, 2, 2, 1), (2, 2, 1, 3), (1, 4, 2, 2)]:
+            perm = kron_perm(kron_perm(range(left), swap_perm(a, b)), range(right))
+            n = left * a * b * right
+            dense = kron(kron(Matrix.identity(field, left), dense_swap(field, a, b)),
+                         Matrix.identity(field, right))
+            A = rand_matrix(rng, field, rng.randint(1, 4), n, denom=True)
+            assert permute_cols(A, perm) == A @ dense
+
+
+def test_kron_perm_matches_dense_kron():
+    for field in (QQ, GF(3)):
+        for p, dp in [(swap_perm(2, 3), dense_swap(field, 2, 3)),
+                      (range(2), Matrix.identity(field, 2))]:
+            for q, dq in [(swap_perm(2, 2), dense_swap(field, 2, 2)),
+                          (range(3), Matrix.identity(field, 3)),
+                          (swap_perm(1, 3), dense_swap(field, 1, 3))]:
+                assert perm_matrix(field, kron_perm(p, q)) == kron(dp, dq)
+
+
+def test_permute_cols_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        permute_cols(Matrix.identity(QQ, 3), (1, 0))
 
 
 def test_quotient_trivial():

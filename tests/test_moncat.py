@@ -4,9 +4,9 @@ from tannakit import (AdjacentSwap, Compose, DualPairing, Identity, Matrix,
                       QQ, block_swap, check_triangles, coherence_equal,
                       dual_map, eval_in_vec, format_expr, kron, parse_expr,
                       perm_of, standard_pairing, transport_pairing)
-from tannakit.moncat import ExprError
+from tannakit.moncat import MAX_WORD_DIM, ExprError
 
-from conftest import rand_invertible, rand_matrix
+from conftest import dense_swap, rand_invertible, rand_matrix
 
 
 W3 = ("x", "y", "z")
@@ -100,6 +100,50 @@ def test_coherence_matches_matrix_evaluation(rng):
         assert got == expected
         agree += 1
     assert agree == 120
+
+
+def dense_eval(e, dims, field=QQ):
+    """Reference evaluator: identities, dense swaps, kron and matrix products."""
+    def word_dim(word):
+        d = 1
+        for atom in word:
+            d *= dims[atom]
+        return d
+    if isinstance(e, Identity):
+        return Matrix.identity(field, word_dim(e.word))
+    if isinstance(e, AdjacentSwap):
+        mid = dense_swap(field, dims[e.word[e.pos]], dims[e.word[e.pos + 1]])
+        return kron(kron(Matrix.identity(field, word_dim(e.word[:e.pos])), mid),
+                    Matrix.identity(field, word_dim(e.word[e.pos + 2:])))
+    if isinstance(e, Compose):
+        return dense_eval(e.then, dims, field) @ dense_eval(e.first, dims, field)
+    return kron(dense_eval(e.left, dims, field), dense_eval(e.right, dims, field))
+
+
+def test_eval_matches_dense_reference(rng):
+    # the same 120 pairs and dims as test_coherence_matches_matrix_evaluation
+    for _ in range(120):
+        e1, e2 = random_pair(rng)
+        dims = {atom: rng.choice([2, 3]) for atom in set(e1.domain) | {"a", "b"}}
+        assert eval_in_vec(e1, dims) == dense_eval(e1, dims)
+        assert eval_in_vec(e2, dims) == dense_eval(e2, dims)
+
+
+def test_eval_rejects_bad_dimensions():
+    e = AdjacentSwap(("a", "b"), 0)
+    for bad in [0, -1, "2", 2.0]:
+        with pytest.raises(ExprError):
+            eval_in_vec(e, {"a": bad, "b": 2})
+    with pytest.raises(ExprError):
+        eval_in_vec(e, {"a": 2})
+
+
+def test_eval_rejects_word_dimension_above_cap():
+    word = ("a",) * 11                       # 2^11 = 2048 > MAX_WORD_DIM
+    assert 2 ** 11 > MAX_WORD_DIM >= 3 ** 6
+    with pytest.raises(ExprError):
+        eval_in_vec(Identity(word), {"a": 2})
+    assert eval_in_vec(Identity(("a",) * 10), {"a": 2}).rows == 1024
 
 
 def test_coherence_soundness_at_dimension_one(rng):
