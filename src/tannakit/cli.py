@@ -59,7 +59,10 @@ def _field_flag(flag: str):
     if flag == "Q":
         return "Q"
     if flag.startswith("Fp:"):
-        return {"Fp": int(flag.split(":", 1)[1])}
+        try:
+            return {"Fp": int(flag.split(":", 1)[1])}
+        except ValueError:
+            pass
     raise SystemExit("--field must be Q or Fp:<prime>")
 
 
@@ -222,8 +225,11 @@ def _dims_flag(flag: str):
 def cmd_coherence(args):
     dims = _dims_flag(args.dims) if args.dims else None
     report = Report()
-    e1 = parse_expr(args.expr1)
-    e2 = parse_expr(args.expr2)
+    try:
+        e1 = parse_expr(args.expr1)
+        e2 = parse_expr(args.expr2)
+    except ExprError as exc:
+        raise SystemExit("coherence: %s" % exc)
     if e1.domain != e2.domain or e1.codomain != e2.codomain:
         report.add(Check("boundary_words_match", False, residue="mismatch"))
         return _emit({}, report, args.json)

@@ -17,8 +17,10 @@ sum descends through one path, ``CoendPresentation.push_to_quotient``:
 it solves through the section and then verifies, for maps on the ambient
 sum (Δ, ε, the antipode, ρ̃) and on its tensor square (the
 multiplication) alike, so the dinaturality arguments that make them well
-defined become machine checks.  The evaluation and coevaluation forms
-placed on the blocks come from ``moncat.standard_pairing``.
+defined become machine checks.  The evaluation form placed on the
+counit's blocks comes from ``moncat.standard_pairing``; the standard
+coevaluation inside Δ is applied as a contraction over the middle index,
+so Δ never builds a Kronecker product.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
@@ -286,19 +288,40 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
     """Δ: Nat^∨(F,H) → Nat^∨(F,G) ⊗ Nat^∨(G,H).
 
     Blockwise Δ∘λ_C = (λ_C⊗λ_C)∘(id_{FC} ⊗ coeval_{GC} ⊗ id_{HC^∨}) with
-    the standard coevaluation of G(C) inserted in the middle; the
-    candidate is solved through the section and verified on every block.
+    the standard coevaluation of G(C) inserted in the middle.  That
+    composite contracts the G(C) index, so each block is computed as
+
+        block[r·q_GH + s][i·hd + l] = Σ_j λ_FG[r][i·gd + j] · λ_GH[s][j·hd + l]
+
+    over the nonzeros of the two λ_C, without building either Kronecker
+    factor.  The candidate is solved through the section and verified on
+    every block.
     """
     field = P_FH.field
+    add, mul = field.add, field.mul
+    zero = field.zero()
+    q_gh = P_GH.quotient_dim
     blocks = {}
     for obj, fd, hd in P_FH.object_index:
         gd = P_FG.block_dims(obj)[1]
-        id_f = Matrix.identity(field, fd)
-        id_hdual = Matrix.identity(field, hd)
-        coeval = standard_pairing(gd, field).coeval
-        insert = kron(kron(id_f, coeval), id_hdual)
-        blocks[obj] = kron(P_FG.lam(obj), P_GH.lam(obj)) @ insert
-    codomain = P_FG.quotient_dim * P_GH.quotient_dim
+        # nonzeros of λ_GH at G-index j, as (s, l, value)
+        gh_nz = [[] for _ in range(gd)]
+        for s, row in enumerate(P_GH.lam(obj).data):
+            for col, y in enumerate(row):
+                if y != zero:
+                    j, l = divmod(col, hd)
+                    gh_nz[j].append((s, l, y))
+        block = Matrix.zeros(field, P_FG.quotient_dim * q_gh, fd * hd)
+        for r, row in enumerate(P_FG.lam(obj).data):
+            for col, x in enumerate(row):
+                if x == zero:
+                    continue
+                i, j = divmod(col, gd)
+                for s, l, y in gh_nz[j]:
+                    brow = block.data[r * q_gh + s]
+                    brow[i * hd + l] = add(brow[i * hd + l], mul(x, y))
+        blocks[obj] = block
+    codomain = P_FG.quotient_dim * q_gh
     ambient_map = P_FH.assemble_on_blocks(blocks, codomain)
     return P_FH.push_to_quotient(ambient_map, "cocomposition")
 

@@ -15,6 +15,13 @@ index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
 ``swap_perm`` and ``kron_perm`` build them, ``permute_cols`` applies one on
 the right of a matrix without building it, and ``perm_matrix`` builds the
 dense matrix only where a caller needs one.
+
+``kron_apply(a, b, m)`` is ``kron(a, b) @ m`` without the Kronecker
+product: each nonzero ``m[(j, l)][c]`` is spread over the nonzeros of
+column j of a and column l of b, so a law such as (Δ⊗id)∘Δ costs the
+nonzeros it touches, not the size of Δ⊗id.  ``rref`` normalizes each
+pivot row and then updates the other rows only at that row's nonzero
+columns, the same skipping of zeros that ``Matrix.__matmul__`` does.
 """
 
 from .fields import Field
@@ -215,6 +222,40 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
+def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
+    """``kron(a, b) @ m`` without building ``kron(a, b)``.
+
+    Row ``j * b.cols + l`` of m is the (j, l) component of its columns;
+    each nonzero there meets only the nonzeros of column j of a and
+    column l of b.
+    """
+    if m.rows != a.cols * b.cols:
+        raise ValueError("composition mismatch: (%dx%d ⊗ %dx%d) @ %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols, m.rows, m.cols))
+    field = a.field
+    add, mul = field.add, field.mul
+    zero = field.zero()
+    acols = [[(i, row[j]) for i, row in enumerate(a.data) if row[j] != zero]
+             for j in range(a.cols)]
+    bcols = [[(k, row[l]) for k, row in enumerate(b.data) if row[l] != zero]
+             for l in range(b.cols)]
+    out = Matrix.zeros(field, a.rows * b.rows, m.cols)
+    for r, mrow in enumerate(m.data):
+        j, l = divmod(r, b.cols)
+        acol, bcol = acols[j], bcols[l]
+        if not acol or not bcol:
+            continue
+        for c, v in enumerate(mrow):
+            if v == zero:
+                continue
+            for i, x in acol:
+                xv = mul(x, v)
+                for k, y in bcol:
+                    orow = out.data[i * b.rows + k]
+                    orow[c] = add(orow[c], mul(xv, y))
+    return out
+
+
 # -- permutations as index maps ---------------------------------------
 
 
@@ -259,6 +300,7 @@ def rref(m: Matrix):
     one, so it doubles as a canonical form for row spaces.
     """
     field = m.field
+    sub, mul = field.sub, field.mul
     zero = field.zero()
     data = [list(row) for row in m.data]
     rows, cols = m.rows, m.cols
@@ -273,13 +315,17 @@ def rref(m: Matrix):
         if pivot_row is None:
             continue
         data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = field.inv(data[r][c])
-        data[r] = [field.mul(inv, x) for x in data[r]]
+        prow = data[r]
+        inv = field.inv(prow[c])
+        pivot_nz = [(j, mul(inv, y)) for j, y in enumerate(prow) if y != zero]
+        for j, y in pivot_nz:
+            prow[j] = y
         for i in range(rows):
-            if i != r and data[i][c] != zero:
-                factor = data[i][c]
-                data[i] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(data[i], data[r])]
+            row = data[i]
+            factor = row[c]
+            if i != r and factor != zero:
+                for j, y in pivot_nz:
+                    row[j] = sub(row[j], mul(factor, y))
         pivots.append(c)
         r += 1
         if r == rows:

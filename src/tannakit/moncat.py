@@ -335,7 +335,12 @@ def _parse(text):
         if ";" not in body:
             raise ExprError("swap needs a position: swap[w;i]")
         wordpart, pos = body.rsplit(";", 1)
-        return AdjacentSwap(_split_word(wordpart), int(pos)), rest
+        try:
+            pos = int(pos)
+        except ValueError:
+            raise ExprError("swap position must be an integer, got %r"
+                            % pos) from None
+        return AdjacentSwap(_split_word(wordpart), pos), rest
     raise ExprError("cannot parse expression at: %r" % text[:30])
 
 

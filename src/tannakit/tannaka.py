@@ -23,9 +23,8 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule, check_comodule_morphism,
                    comatrix_coalgebra, convolve_functionals)
-from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, kron_perm,
-                     permute_cols, solve_matrix, swap_perm)
-from .moncat import standard_pairing
+from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, kron_apply,
+                     kron_perm, permute_cols, solve_matrix, swap_perm)
 from .report import Check, Report, VerificationError, check_equal
 
 
@@ -163,18 +162,22 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
     report.add(Check("rho_tilde_well_defined", True, residue="0"))
     endv = endvee_coalgebra(P)
     report.add(check_equal("rho_tilde_respects_delta",
-                           B.delta @ rt, kron(rt, rt) @ endv.delta))
+                           B.delta @ rt, kron_apply(rt, rt, endv.delta)))
     report.add(check_equal("rho_tilde_respects_eps", B.eps @ rt, endv.eps))
     return rt, report
 
 
 def _coefficient_map(com: ComoduleData) -> Matrix:
-    """(id_B⊗eval)∘(ρ⊗id): V⊗V^∨ → B for the coaction ρ: V → B⊗V."""
-    field = com.field
+    """(id_B⊗eval)∘(ρ⊗id): V⊗V^∨ → B for the coaction ρ: V → B⊗V.
+
+    The evaluation pairs the V-output of ρ with the V^∨ input, so the
+    composite is the reindexing α[b][i·d + j] = ρ[b·d + j][i].
+    """
     d = com.space_dim
-    return (kron(Matrix.identity(field, com.coalgebra_dim),
-                 standard_pairing(d, field).eval)
-            @ kron(com.rho, Matrix.identity(field, d)))
+    rho = com.rho.data
+    return Matrix(com.field,
+                  [[rho[b * d + j][i] for i in range(d) for j in range(d)]
+                   for b in range(com.coalgebra_dim)], cols=d * d)
 
 
 def alpha_tilde(com: ComoduleData, B: CoalgebraData):
@@ -187,7 +190,8 @@ def alpha_tilde(com: ComoduleData, B: CoalgebraData):
     source = comatrix_coalgebra(com.space_dim, B.field)
     report = Report()
     report.add(check_equal("alpha_tilde_respects_delta",
-                           B.delta @ alpha, kron(alpha, alpha) @ source.delta))
+                           B.delta @ alpha,
+                           kron_apply(alpha, alpha, source.delta)))
     report.add(check_equal("alpha_tilde_respects_eps", B.eps @ alpha, source.eps))
     return alpha, report
 
@@ -196,7 +200,7 @@ def rep_of_comodule(com: ComoduleData, chi: Matrix) -> Matrix:
     """Action of a character through the coaction: θ(χ) = (χ⊗id)∘ρ."""
     if chi.rows != 1 or chi.cols != com.coalgebra_dim:
         raise ValueError("character must be a functional on the coalgebra")
-    return kron(chi, Matrix.identity(com.field, com.space_dim)) @ com.rho
+    return kron_apply(chi, Matrix.identity(com.field, com.space_dim), com.rho)
 
 
 def check_rep_correspondence(comodules, chars, B: BialgebraData) -> Report:

@@ -45,6 +45,52 @@ def dense_swap(field, a, b):
     return out
 
 
+def dense_rref(m):
+    """Reduced row-echelon form by the dense row update over every column.
+
+    The reference that ``linalg.rref`` is checked against; returns
+    ``(echelon, pivots, rank)`` in the same form.
+    """
+    field = m.field
+    zero = field.zero()
+    data = [list(row) for row in m.data]
+    rows, cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if data[i][c] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        inv = field.inv(data[r][c])
+        data[r] = [field.mul(inv, x) for x in data[r]]
+        for i in range(rows):
+            if i != r and data[i][c] != zero:
+                factor = data[i][c]
+                data[i] = [field.sub(x, field.mul(factor, y))
+                           for x, y in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return Matrix(field, data, cols=cols), tuple(pivots), len(pivots)
+
+
+def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):
+    """A random matrix with about ``density`` of its entries nonzero."""
+    m = rand_matrix(rng, field, rows, cols, denom=denom)
+    zero = field.zero()
+    for row in m.data:
+        for j in range(cols):
+            if rng.random() >= density:
+                row[j] = zero
+    return m
+
+
 def rand_invertible(rng, field, n):
     from tannakit import solve_matrix
     while True:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tannakit import Matrix
 from tannakit.cli import main
 
 BROKEN_DOC = {
@@ -18,6 +19,30 @@ BROKEN_DOC = {
 
 EMPTY_DOC = {"field": "Q", "objects": [], "generators": [], "relations": [],
              "functor": {"on_objects": {}, "on_generators": {}}}
+
+
+def cyclic_document(n):
+    """Z/n acting on its regular representation by the shift, with B the
+    functions on Z/n and the coaction ρ(v) = Σ_h δ_h ⊗ g^h v."""
+    shift = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    rho = []
+    for h in range(n):
+        rho.extend([[str(int(i == (j + h) % n)) for j in range(n)]
+                    for i in range(n)])
+    delta = [[str(int((a + b) % n == k)) for k in range(n)]
+             for a in range(n) for b in range(n)]
+    return {
+        "field": "Q",
+        "objects": ["star"],
+        "generators": [{"name": "g", "src": "star", "dst": "star"}],
+        "relations": [[["g"] * n, {"at": "star"}]],
+        "functor": {"on_objects": {"star": n},
+                    "on_generators": {"g": [[str(x) for x in row]
+                                            for row in shift]}},
+        "coalgebra": {"dim": n, "delta": delta,
+                      "eps": [[str(int(k == 0)) for k in range(n)]]},
+        "comodules": {"star": rho},
+    }
 
 
 def run(capsys, *argv):
@@ -159,9 +184,25 @@ def test_coherence_word_dimension_capped(capsys):
     assert "word dimension exceeds" in str(info.value.code)
 
 
+@pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
+                                  "(id[a] ; id[b])"])
+def test_coherence_bad_expression_exits_with_one_line(capsys, expr):
+    with pytest.raises(SystemExit) as info:
+        main(["coherence", expr, "id[a,b]"])
+    message = str(info.value.code)
+    assert message.startswith("coherence:") and "\n" not in message
+
+
 def test_unknown_fixture_errors(capsys):
     with pytest.raises(SystemExit):
         main(["validate", "--fixture", "no_such_fixture"])
+
+
+@pytest.mark.parametrize("flag", ["Fp:x", "Fp:", "Fp:5.0", "F7"])
+def test_field_flag_rejects_malformed_modulus(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--fixture", "trivial", "--field", flag])
+    assert str(info.value.code) == "--field must be Q or Fp:<prime>"
 
 
 def test_field_override(tmp_path, capsys):
@@ -171,3 +212,29 @@ def test_field_override(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "validate", "--input", str(path), "--field", "Fp:5")
     assert code == 0
+
+
+def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, capsys):
+    # Δ, the coalgebra laws and the comodule laws contract one index at a
+    # time, so no cyclic job allocates a Kronecker product of λ with itself
+    n = 5
+    ambient_dim = n * n
+    path = tmp_path / "cyclic5.json"
+    path.write_text(json.dumps(cyclic_document(n)))
+    largest = [0]
+    zeros, init = Matrix.zeros.__func__, Matrix.__init__
+
+    def recording_zeros(cls, field, rows, cols):
+        largest[0] = max(largest[0], rows * cols)
+        return zeros(cls, field, rows, cols)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        largest[0] = max(largest[0], self.rows * self.cols)
+
+    monkeypatch.setattr(Matrix, "zeros", classmethod(recording_zeros))
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    for command in ("reconstruct", "lift", "rho-tilde"):
+        code, out = run(capsys, command, "--input", str(path), "--json")
+        assert code == 0, out
+    assert 0 < largest[0] <= ambient_dim ** 2

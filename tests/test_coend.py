@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import (FiberFunctor, Generator, Matrix, PresentedCategory, QQ,
-                      SubspaceBasis, VerificationError, check_dinaturality,
+from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
+                      QQ, SubspaceBasis, VerificationError, check_dinaturality,
                       cocomposition, coevaluation, counit, kron, nat_space,
-                      natvee, pairing_bijection_report, pairing_to_nat, rref)
+                      natvee, pairing_bijection_report, pairing_to_nat, rref,
+                      solve_matrix, standard_pairing)
 from tannakit.coend import relation_vectors
 
-from conftest import load_fixture, rand_matrix
+from conftest import load_fixture, rand_invertible, rand_matrix
 
 
 def single_object(dim, rng=None, gens=0):
@@ -244,6 +245,53 @@ def test_cocomposition_coassociative_regular():
     delta = cocomposition(P, P, P)
     ident = Matrix.identity(QQ, P.quotient_dim)
     assert kron(delta, ident) @ delta == kron(ident, delta) @ delta
+
+
+def dense_cocomposition(P_FG, P_GH, P_FH):
+    """Δ through the dense (λ⊗λ)∘(id⊗coeval⊗id), the reference for the
+    contraction in ``cocomposition``."""
+    field = P_FH.field
+    blocks = {}
+    for obj, fd, hd in P_FH.object_index:
+        gd = P_FG.block_dims(obj)[1]
+        insert = kron(kron(Matrix.identity(field, fd),
+                           standard_pairing(gd, field).coeval),
+                      Matrix.identity(field, hd))
+        blocks[obj] = kron(P_FG.lam(obj), P_GH.lam(obj)) @ insert
+    ambient = P_FH.assemble_on_blocks(blocks,
+                                      P_FG.quotient_dim * P_GH.quotient_dim)
+    return P_FH.push_to_quotient(ambient, "dense cocomposition")
+
+
+def involution_functor(rng, field, plus, minus, isolated_dim):
+    """An involution at "c" with ``plus`` eigenvalues 1 and ``minus``
+    eigenvalues −1 in a random basis; "e" has no generators."""
+    d = plus + minus
+    diag = Matrix.identity(field, d)
+    for i in range(plus, d):
+        diag.data[i][i] = field.neg(field.one())
+    basis = rand_invertible(rng, field, d)
+    s = basis @ diag @ solve_matrix(basis, Matrix.identity(field, d))
+    return FiberFunctor(field, {"c": d, "e": isolated_dim}, {"s": s})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_cocomposition_matches_dense_on_distinct_functors(rng, field):
+    cat = PresentedCategory(["c", "e"], [Generator("s", "c", "c")])
+    F = involution_functor(rng, field, 2, 1, 1)
+    G = involution_functor(rng, field, 1, 1, 2)
+    H = involution_functor(rng, field, 2, 2, 3)
+    for obj in cat.objects:
+        fd, gd, hd = F.dim(obj), G.dim(obj), H.dim(obj)
+        assert len({fd, gd, hd}) == 3
+    P_FG, P_GH, P_FH = natvee(cat, F, G), natvee(cat, G, H), natvee(cat, F, H)
+    for P in (P_FG, P_GH, P_FH):
+        assert P.relation_span.dim > 0 and P.quotient_dim > 0
+    delta = cocomposition(P_FG, P_GH, P_FH)
+    assert delta.rows == P_FG.quotient_dim * P_GH.quotient_dim
+    assert delta.cols == P_FH.quotient_dim
+    assert not delta.is_zero()
+    assert delta == dense_cocomposition(P_FG, P_GH, P_FH)
 
 
 def test_counit_values():

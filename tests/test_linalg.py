@@ -5,9 +5,10 @@ import pytest
 
 from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
                       quotient, rank, rref, solve, solve_matrix)
-from tannakit.linalg import kron_perm, perm_matrix, permute_cols, swap_perm
+from tannakit.linalg import (kron_apply, kron_perm, perm_matrix, permute_cols,
+                             swap_perm)
 
-from conftest import dense_swap, rand_matrix
+from conftest import dense_rref, dense_swap, rand_matrix, rand_sparse_matrix
 
 
 def minor_rank(m):
@@ -62,6 +63,23 @@ def test_rref_idempotent(rng):
         ech = rref(m)[0]
         again = rref(ech)[0]
         assert again == ech
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_rref_matches_dense_rref(rng, field):
+    # rank-deficient products of a thin and a wide factor, sparse and dense
+    for rows, cols, k, density in [(6, 9, 3, 0.3), (9, 6, 4, 0.5), (7, 7, 5, 1.0),
+                                   (8, 12, 2, 0.2), (5, 4, 0, 1.0), (1, 6, 1, 1.0),
+                                   (6, 1, 1, 1.0)]:
+        for _ in range(3):
+            left = rand_sparse_matrix(rng, field, rows, k, density, denom=True)
+            right = rand_sparse_matrix(rng, field, k, cols, density, denom=True)
+            m = left @ right
+            got = rref(m)
+            assert got == dense_rref(m)
+            assert got[2] <= k
+    for m in [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 0)]:
+        assert rref(m) == dense_rref(m)
 
 
 def test_kernel_identity_and_zero():
@@ -160,6 +178,37 @@ def test_kron_perm_matches_dense_kron():
 def test_permute_cols_rejects_wrong_length():
     with pytest.raises(ValueError):
         permute_cols(Matrix.identity(QQ, 3), (1, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_kron_apply_matches_dense_kron(rng, field):
+    # (a.rows, a.cols, b.rows, b.cols, m.cols): square, thin, wide, 1×k
+    # functionals on either side, and zero-row and zero-column shapes
+    shapes = [(3, 2, 2, 3, 4), (4, 4, 1, 1, 2), (1, 1, 3, 2, 3), (1, 4, 1, 3, 1),
+              (2, 3, 1, 2, 5), (1, 3, 4, 3, 2), (0, 2, 3, 2, 3), (2, 2, 0, 3, 2),
+              (2, 0, 2, 2, 3), (3, 2, 2, 2, 0)]
+    for ar, ac, br, bc, mc in shapes:
+        for density in (1.0, 0.3):
+            a = rand_sparse_matrix(rng, field, ar, ac, density, denom=True)
+            b = rand_sparse_matrix(rng, field, br, bc, density, denom=True)
+            m = rand_sparse_matrix(rng, field, ac * bc, mc, density, denom=True)
+            got = kron_apply(a, b, m)
+            assert got == kron(a, b) @ m
+            assert (got.rows, got.cols) == (ar * br, mc)
+    # the coassociativity shapes (Δ⊗id)∘Δ and (id⊗Δ)∘Δ
+    delta = rand_sparse_matrix(rng, field, 9, 3, 0.4, denom=True)
+    ident = Matrix.identity(field, 3)
+    assert kron_apply(delta, ident, delta) == kron(delta, ident) @ delta
+    assert kron_apply(ident, delta, delta) == kron(ident, delta) @ delta
+
+
+def test_kron_apply_rejects_shape_mismatch():
+    a = Matrix.identity(QQ, 2)
+    b = Matrix.identity(QQ, 3)
+    with pytest.raises(ValueError):
+        kron_apply(a, b, Matrix.zeros(QQ, 5, 1))
+    with pytest.raises(ValueError):
+        kron_apply(a, b, Matrix.zeros(QQ, 0, 1))
 
 
 def test_quotient_trivial():

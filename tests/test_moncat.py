@@ -249,6 +249,7 @@ def test_parse_empty_word():
 
 
 def test_parse_errors():
-    for bad in ["swap[a,b]", "id[a", "(id[a] id[a])", "id[a] extra"]:
+    for bad in ["swap[a,b]", "id[a", "(id[a] id[a])", "id[a] extra",
+                "swap[a,b;x]", "swap[a,b;]", "swap[a,b;1.0]"]:
         with pytest.raises(ExprError):
             parse_expr(bad)

@@ -2,18 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import (CoalgebraData, ComoduleData, Matrix, QQ,
+from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
                       VerificationError, alpha_tilde, characters,
                       check_comodule, check_rep_correspondence,
                       comodule_morphism_space, convolve_functionals,
                       endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       intertwines_all, kron, lift_functor,
                       morphism_image_span, natvee, pairing_to_nat, rank,
-                      rep_of_comodule, rho_tilde)
+                      rep_of_comodule, rho_tilde, standard_pairing)
 from tannakit.catpres import PresentationError
 from tannakit.hopf import enumerate_linear_maps
+from tannakit.tannaka import _coefficient_map
 
-from conftest import load_fixture
+from conftest import load_fixture, rand_matrix, rand_sparse_matrix
 
 
 def endvee(name):
@@ -170,6 +171,18 @@ def test_alpha_tilde_comodule_over_itself():
     com = ComoduleData(B.dim, 2, B.delta)
     alpha, report = alpha_tilde(com, B)
     assert report.passed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_coefficient_map_matches_dense_product(rng, field):
+    for bdim, d in [(2, 2), (3, 2), (2, 4), (4, 3)]:
+        for rho in (rand_matrix(rng, field, bdim * d, d, denom=True),
+                    rand_sparse_matrix(rng, field, bdim * d, d, 0.3)):
+            com = ComoduleData(bdim, d, rho)
+            dense = (kron(Matrix.identity(field, bdim),
+                          standard_pairing(d, field).eval)
+                     @ kron(rho, Matrix.identity(field, d)))
+            assert _coefficient_map(com) == dense
 
 
 def test_alpha_tilde_trivial():
