@@ -11,7 +11,7 @@ expressions rides along.
 
 from .fields import GF, QQ, Field, FieldError, PrimeField, RationalField
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
-                     rank, rref, solve, solve_matrix)
+                     rank, rref, solve_matrix)
 from .moncat import (AdjacentSwap, Compose, DualPairing, Identity, SymExpr,
                      Tensor, block_swap, check_triangles, coherence_equal,
                      dual_map, eval_in_vec, format_expr, parse_expr, perm_of,

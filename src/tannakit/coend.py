@@ -27,7 +27,7 @@ from .catpres import FiberFunctor, PresentedCategory
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
                      rref)
 from .moncat import standard_pairing
-from .report import Report, VerificationError, check_equal
+from .report import Check, Report, VerificationError, check_equal
 
 
 class CoendPresentation:
@@ -334,7 +334,6 @@ def pairing_bijection_report(P: CoendPresentation, N: EndSpace = None) -> Report
     whose dimension must agree; and the two directions invert each other
     on bases.
     """
-    from .report import Check
     if N is None:
         N = nat_space(P.category, P.F, P.G)
     field = P.field

@@ -13,6 +13,33 @@ class FieldError(ArithmeticError):
     pass
 
 
+# Miller–Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson & Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin test; exact for 2 <= n < _MR_LIMIT."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Field:
     """Abstract exact field.  Elements are canonical immutable values."""
 
@@ -120,9 +147,11 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p < 2:
             raise FieldError("modulus must be a prime >= 2")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise FieldError("modulus %d is not prime" % p)
+        if p >= _MR_LIMIT:
+            raise FieldError("modulus %d is beyond the proven range of the "
+                             "primality test (< %d)" % (p, _MR_LIMIT))
+        if not _is_prime(p):
+            raise FieldError("modulus %d is not prime" % p)
         self.p = p
         self.name = "F%d" % p
 

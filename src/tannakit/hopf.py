@@ -7,7 +7,14 @@ Comodules are left comodules throughout: ρ: M → B⊗M.  The symmetry ψ
 in the bialgebra law is an index map (``linalg.swap_perm``), applied
 without building its matrix, and the coalgebra, comodule and
 comodule-morphism laws apply their tensor products through
-``linalg.kron_apply`` without building them.
+``linalg.kron_apply`` without building them.  The antipode laws are
+S ∗ id = u∘ε = id ∗ S, computed by ``convolution``.
+
+Grouplikes of the coalgebra and characters of the algebra share one
+bounded exhaustive search (``_search_space``, sized before anything is
+enumerated) filtered by the definition, and one group table
+(``_group_table``) whose entries are the index of the last element equal
+to each product.
 """
 
 from itertools import product
@@ -151,14 +158,13 @@ class HopfData:
 
     def checks(self) -> Report:
         b = self.bialgebra
+        C, A, S = b.coalgebra, b.algebra, self.antipode
         ident = Matrix.identity(self.field, self.dim)
         u_eps = b.u @ b.eps
         report = Report()
         report.extend(b.checks())
-        lhs = b.m @ kron(self.antipode, ident) @ b.delta
-        report.add(check_equal("antipode_left", lhs, u_eps))
-        rhs = b.m @ kron(ident, self.antipode) @ b.delta
-        report.add(check_equal("antipode_right", rhs, u_eps))
+        report.add(check_equal("antipode_left", convolution(S, ident, C, A), u_eps))
+        report.add(check_equal("antipode_right", convolution(ident, S, C, A), u_eps))
         return report
 
     def to_json(self):
@@ -246,6 +252,27 @@ class UnsupportedCoalgebraError(ValueError):
     """Grouplike search over the rationals needs a solvable Δ shape."""
 
 
+def _search_space(field, dim, enumeration_bound):
+    """Every coordinate vector a bounded search tries, as value tuples.
+
+    Over a prime field that is all of K^dim; over the rationals it is the
+    {0, 1, −1} value patterns (see ``characters``).  The size is checked
+    before any value is produced, since ``field.elements()`` is range(p).
+    """
+    if hasattr(field, "p"):
+        total = field.p ** dim
+        if total > enumeration_bound:
+            raise UnsupportedCoalgebraError(
+                "enumeration space %d exceeds the bound" % total)
+        values = field.elements()
+    else:
+        if 3 ** dim > enumeration_bound:
+            raise UnsupportedCoalgebraError(
+                "value-pattern space 3^%d exceeds the bound" % dim)
+        values = [field.zero(), field.one(), field.neg(field.one())]
+    return product(values, repeat=dim)
+
+
 def is_grouplike(B: CoalgebraData, vec) -> bool:
     field = B.field
     col = Matrix.column(field, vec)
@@ -264,47 +291,41 @@ def grouplikes(B: CoalgebraData, candidates=None, enumeration_bound=1 << 17):
     candidate list, which is filtered by the definition.
     """
     field = B.field
-    if candidates is not None:
-        return [list(v) for v in candidates if is_grouplike(B, v)]
-    if hasattr(field, "p"):
-        total = field.p ** B.dim
-        if total > enumeration_bound:
+    if candidates is None and not hasattr(field, "p"):
+        if not _is_diagonal_monomial(B):
             raise UnsupportedCoalgebraError(
-                "enumeration space %d exceeds the bound" % total)
-        out = []
-        for vec in product(field.elements(), repeat=B.dim):
-            if is_grouplike(B, list(vec)):
-                out.append(list(vec))
-        return out
-    if _is_diagonal_monomial(B):
-        out = []
-        one = field.one()
-        zero = field.zero()
-        for i in range(B.dim):
-            if B.eps.data[0][i] == one:
-                vec = [zero] * B.dim
-                vec[i] = one
-                out.append(vec)
-        return out
-    raise UnsupportedCoalgebraError(
-        "over Q only diagonal monomial comultiplications are solved; "
-        "supply candidates")
+                "over Q only diagonal monomial comultiplications are solved; "
+                "supply candidates")
+        one, zero = field.one(), field.zero()
+        return [[one if j == i else zero for j in range(B.dim)]
+                for i in range(B.dim) if B.eps.data[0][i] == one]
+    if candidates is None:
+        candidates = _search_space(field, B.dim, enumeration_bound)
+    return [list(v) for v in candidates if is_grouplike(B, v)]
 
 
 def _is_diagonal_monomial(B: CoalgebraData) -> bool:
     """Every Δ(b_i) = b_i⊗b_i exactly."""
-    field = B.field
-    one, zero = field.one(), field.zero()
+    want = Matrix.zeros(B.field, B.dim * B.dim, B.dim)
     for i in range(B.dim):
-        col = B.delta.col(i)
-        want = i * B.dim + i
-        for pos, x in enumerate(col):
-            if pos == want:
-                if x != one:
-                    return False
-            elif x != zero:
-                return False
-    return True
+        want.data[i * B.dim + i][i] = B.field.one()
+    return B.delta == want
+
+
+def _last_index(items, x):
+    """Index of the last entry of items equal to x, or None."""
+    found = None
+    for idx, item in enumerate(items):
+        if item == x:
+            found = idx
+    return found
+
+
+def _group_table(items, mul):
+    """table[i][j] = _last_index(items, mul(items[i], items[j])), and
+    whether no product escapes the set."""
+    table = [[_last_index(items, mul(x, y)) for y in items] for x in items]
+    return table, all(None not in row for row in table)
 
 
 def grouplike_group(H: HopfData, gls) -> tuple:
@@ -319,36 +340,16 @@ def grouplike_group(H: HopfData, gls) -> tuple:
     report = Report()
     cols = [Matrix.column(field, v) for v in gls]
     unit = b.u
-    unit_idx = None
-    for idx, c in enumerate(cols):
-        if c == unit:
-            unit_idx = idx
+    unit_idx = _last_index(cols, unit)
     report.add(check_equal("grouplike_unit_is_member", unit,
                            cols[unit_idx] if unit_idx is not None
                            else Matrix.zeros(field, H.dim, 1)))
-    table = []
-    closure_ok = True
-    for ci in cols:
-        row = []
-        for cj in cols:
-            prod = b.m @ kron(ci, cj)
-            match = None
-            for idx, ck in enumerate(cols):
-                if prod == ck:
-                    match = idx
-            if match is None:
-                closure_ok = False
-            row.append(match)
-        table.append(row)
+    table, closure_ok = _group_table(cols, lambda x, y: b.m @ kron(x, y))
     report.add(Check("grouplike_closure", closure_ok,
                      residue="0" if closure_ok else "escapes"))
-    inverse_ok = True
-    for idx, ci in enumerate(cols):
-        inv = H.antipode @ ci
-        left = b.m @ kron(inv, ci)
-        right = b.m @ kron(ci, inv)
-        if not (left == unit and right == unit):
-            inverse_ok = False
+    invs = [H.antipode @ c for c in cols]
+    inverse_ok = all(b.m @ kron(inv, c) == unit and b.m @ kron(c, inv) == unit
+                     for c, inv in zip(cols, invs))
     report.add(Check("grouplike_antipode_inverse", inverse_ok,
                      residue="0" if inverse_ok else "not inverse"))
     return table, report
@@ -374,32 +375,13 @@ def characters(B: BialgebraData, candidates=None, enumeration_bound=1 << 17):
     explicit candidate list.
     """
     field = B.field
-    if candidates is not None:
-        return [c for c in candidates if check_character(c, B)]
-    if hasattr(field, "p"):
-        total = field.p ** B.dim
-        if total > enumeration_bound:
+    if candidates is None:
+        if not hasattr(field, "p") and not _is_diagonal_monomial(B.coalgebra):
             raise UnsupportedCoalgebraError(
-                "enumeration space %d exceeds the bound" % total)
-        out = []
-        for vec in product(field.elements(), repeat=B.dim):
-            chi = Matrix.row(field, list(vec))
-            if check_character(chi, B):
-                out.append(chi)
-        return out
-    if _is_diagonal_monomial(B.coalgebra):
-        if 3 ** B.dim > enumeration_bound:
-            raise UnsupportedCoalgebraError(
-                "value-pattern space 3^%d exceeds the bound" % B.dim)
-        values = [field.zero(), field.one(), field.neg(field.one())]
-        out = []
-        for vec in product(values, repeat=B.dim):
-            chi = Matrix.row(field, list(vec))
-            if check_character(chi, B):
-                out.append(chi)
-        return out
-    raise UnsupportedCoalgebraError(
-        "over Q only grouplike-basis bialgebras are solved; supply candidates")
+                "over Q only grouplike-basis bialgebras are solved; supply candidates")
+        candidates = (Matrix.row(field, v)
+                      for v in _search_space(field, B.dim, enumeration_bound))
+    return [c for c in candidates if check_character(c, B)]
 
 
 def convolution_group(chars, H: HopfData) -> tuple:
@@ -408,7 +390,6 @@ def convolution_group(chars, H: HopfData) -> tuple:
     ε is the neutral element, χ∘a the two-sided inverse; returns
     (table, report) with table[i][j] the index of χ_i ∗ χ_j.
     """
-    from .report import Check
     b = H.bialgebra
     report = Report()
     for idx, chi in enumerate(chars):
@@ -417,38 +398,21 @@ def convolution_group(chars, H: HopfData) -> tuple:
     if not report.passed:
         raise ValueError("convolution_group needs verified characters")
     eps = b.eps
-    eps_idx = None
-    for idx, chi in enumerate(chars):
-        if chi == eps:
-            eps_idx = idx
+    eps_idx = _last_index(chars, eps)
     report.add(Check("counit_is_member", eps_idx is not None,
                      residue="0" if eps_idx is not None else "missing"))
-    table = []
-    closure_ok = True
-    for chi in chars:
-        row = []
-        for psi in chars:
-            conv = convolve_functionals(chi, psi, b.coalgebra)
-            match = None
-            for idx, other in enumerate(chars):
-                if conv == other:
-                    match = idx
-            if match is None:
-                closure_ok = False
-            row.append(match)
-        table.append(row)
+    table, closure_ok = _group_table(
+        chars, lambda x, y: convolve_functionals(x, y, b.coalgebra))
     report.add(Check("character_closure", closure_ok,
                      residue="0" if closure_ok else "escapes"))
     identity_ok = all(table[eps_idx][j] == j and table[j][eps_idx] == j
                       for j in range(len(chars))) if eps_idx is not None else False
     report.add(Check("counit_is_identity", identity_ok,
                      residue="0" if identity_ok else "not neutral"))
-    inverse_ok = True
-    for chi in chars:
-        inv = chi @ H.antipode
-        if not (convolve_functionals(chi, inv, b.coalgebra) == eps
-                and convolve_functionals(inv, chi, b.coalgebra) == eps):
-            inverse_ok = False
+    invs = [chi @ H.antipode for chi in chars]
+    inverse_ok = all(convolve_functionals(chi, inv, b.coalgebra) == eps
+                     and convolve_functionals(inv, chi, b.coalgebra) == eps
+                     for chi, inv in zip(chars, invs))
     report.add(Check("antipode_gives_inverse", inverse_ok,
                      residue="0" if inverse_ok else "not inverse"))
     return table, report

@@ -114,21 +114,11 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, [[add(a, b) for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
-
     def __sub__(self, other):
         self._same_shape(other)
         sub = self.field.sub
         return Matrix(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in row] for row in self.data])
 
     def scale(self, c):
         mul = self.field.mul
@@ -403,33 +393,20 @@ def kernel_basis(f: Matrix) -> SubspaceBasis:
     return SubspaceBasis(field, f.cols, vectors)
 
 
-def solve(a: Matrix, b):
-    """One solution x of a x = b (b a coordinate vector), or None."""
-    field = a.field
-    aug = Matrix(field, [row + [bx] for row, bx in zip(a.data, b)]) \
-        if a.rows else Matrix.zeros(field, 0, a.cols + 1)
-    ech, pivots, _ = rref(aug)
-    if a.cols in pivots:
-        return None
-    zero = field.zero()
-    x = [zero] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = ech.data[r][a.cols]
-    return x
-
-
 def solve_matrix(a: Matrix, b: Matrix):
-    """One solution X of a X = b, or None.  Solved column by column."""
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
+    """One solution X of a X = b, or None, from one rref of [a | b].
+
+    The free unknowns are 0; a pivot in the b columns means some column
+    of b is not in the image of a.
+    """
+    aug = Matrix(a.field, [ra + rb for ra, rb in zip(a.data, b.data)],
+                 cols=a.cols + b.cols)
+    ech, pivots, _ = rref(aug)
+    if pivots and pivots[-1] >= a.cols:
+        return None
     out = Matrix.zeros(a.field, a.cols, b.cols)
-    for j, x in enumerate(cols):
-        for i, v in enumerate(x):
-            out.data[i][j] = v
+    for r, p in enumerate(pivots):
+        out.data[p] = ech.data[r][a.cols:]
     return out
 
 

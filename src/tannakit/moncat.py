@@ -17,7 +17,7 @@ composition and ``(e1 * e2)`` for tensor.
 """
 
 from .fields import QQ
-from .linalg import Matrix, kron, kron_perm, perm_matrix, swap_perm
+from .linalg import Matrix, kron, kron_perm, perm_matrix, solve_matrix, swap_perm
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
 
@@ -271,7 +271,6 @@ def transport_pairing(p: DualPairing, pmat: Matrix) -> DualPairing:
     dual-slot factors are mutually inverse, which is exactly what keeps
     both snake identities true.
     """
-    from .linalg import solve_matrix
     n = p.space_dim
     ident = Matrix.identity(pmat.field, n)
     pinv = solve_matrix(pmat, ident)

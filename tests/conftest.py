@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import Matrix, QQ, load_document
+from tannakit import Matrix, QQ, load_document, rref
 from tannakit.cli import load_fixture_text
 
 
@@ -78,6 +78,25 @@ def dense_rref(m):
         if r == rows:
             break
     return Matrix(field, data, cols=cols), tuple(pivots), len(pivots)
+
+
+def column_solve_matrix(a, b):
+    """One solution X of a X = b, or None, solved one column of b at a time.
+
+    The reference that ``linalg.solve_matrix`` is checked against: column j
+    is one rref of [a | b_j], with the free unknowns set to 0.
+    """
+    field = a.field
+    out = Matrix.zeros(field, a.cols, b.cols)
+    for j in range(b.cols):
+        aug = Matrix(field, [row + [bx] for row, bx in zip(a.data, b.col(j))],
+                     cols=a.cols + 1)
+        ech, pivots, _ = rref(aug)
+        if a.cols in pivots:
+            return None
+        for r, p in enumerate(pivots):
+            out.data[p][j] = ech.data[r][a.cols]
+    return out
 
 
 def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):

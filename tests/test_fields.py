@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,44 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(FieldError):
         GF(6)
+
+
+def trial_division_is_prime(n):
+    """The primality oracle: no divisor in [2, √n]."""
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def is_field_modulus(p):
+    try:
+        GF(p)
+    except FieldError:
+        return False
+    return True
+
+
+def test_prime_moduli_match_trial_division():
+    assert [p for p in range(10 ** 4) if is_field_modulus(p)] == \
+        [p for p in range(10 ** 4) if trial_division_is_prime(p)]
+    # Carmichael numbers and the least strong pseudoprime to base 2
+    for n in (561, 1105, 1729, 2047):
+        assert not is_field_modulus(n)
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    f = GF(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.mul(f.inv(12345), 12345) == 1
+    assert not is_field_modulus(2 ** 61 + 1)
+
+
+def test_modulus_beyond_the_proven_range_is_refused():
+    # the least strong pseudoprime to the bases 2..41: composite, and the
+    # first modulus the test could no longer decide
+    psi13 = 3317044064679887385961981
+    for p in (psi13, psi13 + 2, 2 ** 127 - 1):
+        with pytest.raises(FieldError):
+            GF(p)
 
 
 def test_field_axioms_exact():

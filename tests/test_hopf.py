@@ -192,6 +192,85 @@ def test_grouplikes_unsupported_over_q():
     assert grouplikes(H.bialgebra.coalgebra, candidates=basis) == basis
 
 
+def _bruteforce_f3(dim, keep):
+    """Every vector of F_3^dim, in lexicographic order, that keep accepts."""
+    vecs = [[]]
+    for _ in range(dim):
+        vecs = [v + [x] for v in vecs for x in range(3)]
+    return [v for v in vecs if keep(v)]
+
+
+def test_grouplikes_and_characters_f3_vs_bruteforce():
+    f3 = GF(3)
+    b = group_algebra_z2(f3).bialgebra
+    n = b.dim
+
+    def apply(m, v):
+        return [sum(m.data[r][i] * v[i] for i in range(len(v))) % 3
+                for r in range(m.rows)]
+
+    def is_grouplike(v):
+        # Δ(v) = v⊗v and ε(v) = 1, coefficient by coefficient
+        return (apply(b.delta, v) == [v[i] * v[j] % 3 for i in range(n) for j in range(n)]
+                and apply(b.eps, v) == [1])
+
+    def is_character(x):
+        # x∘m = x⊗x on every pair of basis vectors, and x∘u = 1
+        xm = [sum(x[r] * b.m.data[r][c] for r in range(n)) % 3 for c in range(n * n)]
+        xu = sum(x[r] * b.u.data[r][0] for r in range(n)) % 3
+        return xm == [x[i] * x[j] % 3 for i in range(n) for j in range(n)] and xu == 1
+
+    assert grouplikes(b.coalgebra) == _bruteforce_f3(n, is_grouplike) == [[0, 1], [1, 0]]
+    got = [chi.data[0] for chi in characters(b)]
+    assert got == _bruteforce_f3(n, is_character) == [[1, 1], [1, 2]]
+
+
+def test_unsupported_search_messages():
+    fp = group_algebra_z2(GF(3)).bialgebra
+    q = group_algebra_z2(QQ).bialgebra
+    cases = [
+        (lambda: grouplikes(fp.coalgebra, enumeration_bound=8),
+         "enumeration space 9 exceeds the bound"),
+        (lambda: characters(fp, enumeration_bound=8),
+         "enumeration space 9 exceeds the bound"),
+        (lambda: characters(q, enumeration_bound=8),
+         "value-pattern space 3^2 exceeds the bound"),
+        (lambda: grouplikes(comatrix_coalgebra(2, QQ)),
+         "over Q only diagonal monomial comultiplications are solved; "
+         "supply candidates"),
+    ]
+    for search, message in cases:
+        with pytest.raises(UnsupportedCoalgebraError) as exc:
+            search()
+        assert str(exc.value) == message
+    # the bound is inclusive
+    assert len(characters(q, enumeration_bound=9)) == 2
+
+
+def test_search_over_a_large_prime_field_refuses_at_once():
+    f = GF(2 ** 61 - 1)
+    with pytest.raises(UnsupportedCoalgebraError) as exc:
+        grouplikes(group_algebra_z2(f).bialgebra.coalgebra)
+    assert str(exc.value) == "enumeration space %d exceeds the bound" % f.p ** 2
+
+
+def test_group_tables_index_the_last_match():
+    H = group_algebra_z2()
+    x0, x1 = grouplikes(H.bialgebra.coalgebra)
+    table, report = grouplike_group(H, [x0, x1, x0])
+    assert table == [[2, 1, 2], [1, 2, 1], [2, 1, 2]]
+    assert report.passed
+    eps, sign = characters(H.bialgebra)
+    assert eps == H.bialgebra.eps
+    table, report = convolution_group([eps, sign, eps], H)
+    assert table == [[2, 1, 2], [1, 2, 1], [2, 1, 2]]
+    # ε is found at index 2, and row 2 does not fix index 0
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("character:0", True), ("character:1", True), ("character:2", True),
+        ("counit_is_member", True), ("character_closure", True),
+        ("counit_is_identity", False), ("antipode_gives_inverse", True)]
+
+
 def test_grouplikes_linearly_independent():
     H = group_algebra_z2()
     gls = grouplikes(H.bialgebra.coalgebra)

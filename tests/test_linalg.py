@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
-                      quotient, rank, rref, solve, solve_matrix)
+                      quotient, rank, rref, solve_matrix)
 from tannakit.linalg import (kron_apply, kron_perm, perm_matrix, permute_cols,
                              swap_perm)
 
-from conftest import dense_rref, dense_swap, rand_matrix, rand_sparse_matrix
+from conftest import (column_solve_matrix, dense_rref, dense_swap, rand_invertible,
+                      rand_matrix, rand_sparse_matrix)
 
 
 def minor_rank(m):
@@ -237,10 +238,37 @@ def test_quotient_kernel_is_relations(rng):
 
 def test_solve_and_image():
     a = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
-    x = solve(a, [Fraction(5), Fraction(11)])
-    assert a.apply(x) == [Fraction(5), Fraction(11)]
-    assert solve(Matrix.from_ints(QQ, [[1, 1], [1, 1]]),
-                 [Fraction(0), Fraction(1)]) is None
+    x = solve_matrix(a, Matrix.from_ints(QQ, [[5], [11]]))
+    assert a.apply(x.col(0)) == [Fraction(5), Fraction(11)]
+    assert solve_matrix(Matrix.from_ints(QQ, [[1, 1], [1, 1]]),
+                        Matrix.from_ints(QQ, [[0], [1]])) is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_solve_matrix_matches_column_oracle(rng, field):
+    cases = [(Matrix.zeros(field, 0, 3), Matrix.zeros(field, 0, 2)),
+             (Matrix.zeros(field, 2, 0), Matrix.zeros(field, 2, 1)),
+             (Matrix.zeros(field, 2, 0), Matrix.from_ints(field, [[0], [1]])),
+             (Matrix.identity(field, 3), Matrix.zeros(field, 3, 0))]
+    for _ in range(3):
+        # invertible, singular (consistent or not), and d×1 with d = 2
+        a = rand_invertible(rng, field, 4)
+        cases.append((a, rand_matrix(rng, field, 4, 3, denom=True)))
+        s = rand_matrix(rng, field, 4, 2, denom=True) @ rand_matrix(rng, field, 2, 5)
+        cases.append((s, s @ rand_matrix(rng, field, 5, 3)))
+        cases.append((s, rand_matrix(rng, field, 4, 2, denom=True)))
+        d = rand_matrix(rng, field, 2, 1, denom=True)
+        cases.append((d, d @ rand_matrix(rng, field, 1, 3)))
+        cases.append((d, rand_matrix(rng, field, 2, 1)))
+    solvable = set()
+    for a, b in cases:
+        got = solve_matrix(a, b)
+        assert got == column_solve_matrix(a, b)
+        if got is not None:
+            assert (got.rows, got.cols) == (a.cols, b.cols)
+            assert a @ got == b
+        solvable.add(got is not None)
+    assert solvable == {True, False}
 
 
 def test_solve_matrix_inverse():
