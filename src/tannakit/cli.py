@@ -14,6 +14,7 @@ from importlib import resources
 from .catpres import load_document, validate_duality_data, validate_functor, \
     validate_tensor_data
 from .coend import nat_space, natvee, pairing_bijection_report
+from .fields import FieldError
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
 from .linalg import rank
@@ -52,7 +53,10 @@ def _read_document(args):
                          % (exc.lineno, exc.colno, exc.msg))
     if args.field:
         raw["field"] = _field_flag(args.field)
-    return load_document(raw)
+    try:
+        return load_document(raw)
+    except FieldError as exc:
+        raise SystemExit("field: %s" % exc)
 
 
 def _field_flag(flag: str):

@@ -5,10 +5,17 @@
 basis pair: the block of e_i ⊗ G(f)^∨ e_j^∨ at the source minus the block
 of F(f) e_i ⊗ e_j^∨ at the target.  Relations from generating morphisms
 suffice: the relation vector of a composite splits as a sum of generator
-relations, and identities contribute zero (unit-tested).
+relations, and identities contribute zero (unit-tested).  Each relation
+has at most dim G(C) + dim F(C') nonzeros in an ambient space of
+dimension Σ_C dim F(C)·dim G(C), so ``natvee`` builds the relations as
+sparse rows and hands them to ``SubspaceBasis``, which stores only the
+rank rows.  ``relation_vectors`` returns the same relations as dense
+lists; nothing in the package calls it, and it stays as an independent
+input for the rank and span oracles of the tests.
 
 ``nat_space`` computes Nat(F, G) on the other side of the predual pairing
-as the solution space of the naturality equations, and ``pairing_to_nat``
+as the solution space of the naturality equations, which it builds as
+sparse rows for ``kernel_basis`` in the same way, and ``pairing_to_nat``
 / ``nat_to_pairing`` realize the pairing between the two, functional by
 functional.
 
@@ -122,16 +129,18 @@ class CoendPresentation:
         }
 
 
-def relation_vectors(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
-    """One coend relation vector per generator f: C→C' and basis pair (i, j)."""
+def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
+    """One coend relation per generator f: C→C' and basis pair (i, j), as
+    a sparse row ``{ambient index: value}``; returns ``(ambient, rows)``."""
     field = F.field
+    zero = field.zero()
     offs = {}
     off = 0
     for obj in cat.objects:
         offs[obj] = off
         off += F.dim(obj) * G.dim(obj)
     ambient = off
-    vectors = []
+    rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
         fmat = F.gen_matrix(g.name)
@@ -140,19 +149,32 @@ def relation_vectors(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
         gd_dst = G.dim(dst)
         for i in range(F.dim(src)):
             for j in range(gd_dst):
-                vec = [field.zero()] * ambient
+                row = {}
                 # block at src: e_i ⊗ G(f)^∨ e_j^∨,  G(f)^∨ e_j^∨ = row j of G(f)
                 for k in range(gd_src):
                     coeff = gmat.data[j][k]
-                    if coeff != field.zero():
-                        vec[offs[src] + i * gd_src + k] = coeff
+                    if coeff != zero:
+                        row[offs[src] + i * gd_src + k] = coeff
                 # block at dst: − F(f) e_i ⊗ e_j^∨,  F(f) e_i = column i
                 for l in range(F.dim(dst)):
                     coeff = fmat.data[l][i]
-                    if coeff != field.zero():
+                    if coeff != zero:
                         pos = offs[dst] + l * gd_dst + j
-                        vec[pos] = field.sub(vec[pos], coeff)
-                vectors.append(vec)
+                        row[pos] = field.sub(row.get(pos, zero), coeff)
+                rows.append(row)
+    return ambient, rows
+
+
+def relation_vectors(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
+    """The rows of ``_relation_rows`` as dense lists of length ``ambient``."""
+    ambient, rows = _relation_rows(cat, F, G)
+    zero = F.field.zero()
+    vectors = []
+    for row in rows:
+        vec = [zero] * ambient
+        for c, x in row.items():
+            vec[c] = x
+        vectors.append(vec)
     return ambient, vectors
 
 
@@ -161,8 +183,8 @@ def natvee(cat: PresentedCategory, F: FiberFunctor,
     """Compute Nat^∨(F, G) as an explicit quotient presentation."""
     if F.field != G.field:
         raise ValueError("functors live over different fields")
-    ambient, vectors = relation_vectors(cat, F, G)
-    span = SubspaceBasis(F.field, ambient, vectors)
+    ambient, rows = _relation_rows(cat, F, G)
+    span = SubspaceBasis(F.field, ambient, rows)
     proj, section = quotient(ambient, span)
     object_index = [(obj, F.dim(obj), G.dim(obj)) for obj in cat.objects]
     return CoendPresentation(cat, F, G, object_index, span, proj, section)
@@ -201,6 +223,7 @@ class EndSpace:
 def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSpace:
     """Solve the naturality equations θ_{C'}∘F(f) = G(f)∘θ_C exactly."""
     field = F.field
+    zero = field.zero()
     offs = {}
     off = 0
     for obj in cat.objects:
@@ -214,18 +237,18 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
         gmat = G.gen_matrix(g.name)
         for a in range(G.dim(dst)):
             for b in range(F.dim(src)):
-                row = [field.zero()] * total
+                row = {}
                 #  (θ_{dst} F(f))[a,b] = Σ_l θ_dst[a,l] F(f)[l,b]
                 for l in range(F.dim(dst)):
-                    pos = offs[dst] + a * F.dim(dst) + l
-                    row[pos] = field.add(row[pos], fmat.data[l][b])
+                    if fmat.data[l][b] != zero:
+                        row[offs[dst] + a * F.dim(dst) + l] = fmat.data[l][b]
                 #  −(G(f) θ_{src})[a,b] = −Σ_k G(f)[a,k] θ_src[k,b]
                 for k in range(G.dim(src)):
-                    pos = offs[src] + k * F.dim(src) + b
-                    row[pos] = field.sub(row[pos], gmat.data[a][k])
+                    if gmat.data[a][k] != zero:
+                        pos = offs[src] + k * F.dim(src) + b
+                        row[pos] = field.sub(row.get(pos, zero), gmat.data[a][k])
                 rows.append(row)
-    system = Matrix(field, rows, cols=total)
-    ker = kernel_basis(system)
+    ker = kernel_basis(rows, field, total)
     basis = []
     for vec in ker.vectors:
         family = {}

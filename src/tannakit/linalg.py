@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a :class:`~tannakit.fields.Field`.
+"""Exact linear algebra over a :class:`~tannakit.fields.Field`.
 
 A :class:`Matrix` doubles as a linear map under the column convention:
 columns are images of the domain basis vectors, so ``cols = domain_dim``
@@ -19,9 +19,17 @@ dense matrix only where a caller needs one.
 ``kron_apply(a, b, m)`` is ``kron(a, b) @ m`` without the Kronecker
 product: each nonzero ``m[(j, l)][c]`` is spread over the nonzeros of
 column j of a and column l of b, so a law such as (Δ⊗id)∘Δ costs the
-nonzeros it touches, not the size of Δ⊗id.  ``rref`` normalizes each
-pivot row and then updates the other rows only at that row's nonzero
-columns, the same skipping of zeros that ``Matrix.__matmul__`` does.
+nonzeros it touches, not the size of Δ⊗id.
+
+Every echelon form comes from one elimination core over sparse rows
+``{col: value}``: a Gauss–Jordan pass that keeps each pivot row fully
+reduced, in the style of structured Gaussian elimination (LaMacchia &
+Odlyzko, CRYPTO 1990).  ``rref`` is a thin dense wrapper over it: all
+``m.rows`` rows, the canonical echelon, its pivots and rank.
+``SubspaceBasis`` and ``kernel_basis`` also take sparse rows and store
+only the rank rows or the kernel vectors dense, so a large system with a
+few nonzeros per row, such as the coend relations and the naturality
+equations of ``coend``, is never held as a dense matrix.
 """
 
 from .fields import Field
@@ -38,6 +46,9 @@ class Matrix:
         self.rows = len(self.data)
         if self.rows:
             self.cols = len(self.data[0])
+            if cols is not None and cols != self.cols:
+                raise ValueError("rows of length %d, not cols=%d"
+                                 % (self.cols, cols))
         else:
             self.cols = 0 if cols is None else cols
         for row in self.data:
@@ -128,7 +139,9 @@ class Matrix:
         """Matrix product = composition of linear maps (self after other).
 
         Iteration order skips zero entries, so products of the sparse
-        structural matrices that dominate this domain stay cheap.
+        structural matrices that dominate this domain stay cheap.  The
+        nonzeros of a row of ``other`` are listed only when some entry of
+        ``self`` touches that row.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -139,18 +152,21 @@ class Matrix:
         add, mul = field.add, field.mul
         zero, one = field.zero(), field.one()
         out = Matrix.zeros(field, self.rows, other.cols)
-        bnz = [[(j, v) for j, v in enumerate(row) if v != zero]
-               for row in other.data]
+        bnz = [None] * other.rows
         for i, arow in enumerate(self.data):
             orow = out.data[i]
             for k, a in enumerate(arow):
                 if a == zero:
                     continue
+                nz = bnz[k]
+                if nz is None:
+                    nz = bnz[k] = [(j, v) for j, v in enumerate(other.data[k])
+                                   if v != zero]
                 if a == one:
-                    for j, b in bnz[k]:
+                    for j, b in nz:
                         orow[j] = add(orow[j], b)
                 else:
-                    for j, b in bnz[k]:
+                    for j, b in nz:
                         orow[j] = add(orow[j], mul(a, b))
         return out
 
@@ -282,45 +298,91 @@ def perm_matrix(field, perm) -> Matrix:
 # -- echelon forms and subspaces --------------------------------------
 
 
+def _sparse_rows(field, width, vectors):
+    """Vectors of K^width, given as dense lists or as sparse rows
+    ``{col: value}``, as sparse rows (dense ones without their zeros)."""
+    zero = field.zero()
+    rows = []
+    for v in vectors:
+        if isinstance(v, dict):
+            if v and (min(v) < 0 or max(v) >= width):
+                raise ValueError("sparse vector index outside K^%d" % width)
+            rows.append(v)
+        elif len(v) != width:
+            raise ValueError("vector length != ambient dimension")
+        else:
+            rows.append({j: x for j, x in enumerate(v) if x != zero})
+    return rows
+
+
+def _eliminate(field, rows):
+    """Gauss–Jordan elimination over sparse rows ``{col: value}``.
+
+    Each row is reduced by the pivot rows found so far.  If anything is
+    left, it is scaled to lead with 1, and its leading column is cleared
+    from the earlier pivot rows.  So every pivot row stays fully reduced:
+    it leads with its own pivot column and holds no other pivot column,
+    and the rows sorted by pivot are the unique RREF of the row space.
+    Returns ``{pivot column: row}``; the input rows are not modified.
+    """
+    sub, mul = field.sub, field.mul
+    zero, one = field.zero(), field.one()
+    pivot_rows = {}
+    holders = {}    # non-pivot column -> pivot columns whose row holds it
+    for given in rows:
+        row = {j: x for j, x in given.items() if x != zero}
+        # a pivot row holds no other pivot column, so one pass suffices
+        for p in [c for c in row if c in pivot_rows]:
+            factor = row.pop(p)
+            for j, y in pivot_rows[p].items():
+                if j != p:
+                    x = sub(row.get(j, zero), mul(factor, y))
+                    if x != zero:
+                        row[j] = x
+                    else:
+                        del row[j]
+        if not row:
+            continue
+        lead = min(row)
+        if row[lead] != one:
+            inv = field.inv(row[lead])
+            row = {j: mul(inv, x) for j, x in row.items()}
+        for p in holders.pop(lead, ()):
+            prow = pivot_rows[p]
+            factor = prow.pop(lead)
+            for j, y in row.items():
+                if j == lead:
+                    continue
+                x = sub(prow.get(j, zero), mul(factor, y))
+                if x != zero:
+                    if j not in prow:
+                        holders.setdefault(j, set()).add(p)
+                    prow[j] = x
+                else:
+                    del prow[j]
+                    holders[j].discard(p)
+        for j in row:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
+        pivot_rows[lead] = row
+    return pivot_rows
+
+
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
     Returns ``(echelon, pivots, rank)`` where pivots is the tuple of
-    pivot column indices and rank = len(pivots).  The RREF is the unique
-    one, so it doubles as a canonical form for row spaces.
+    pivot column indices and rank = len(pivots); echelon has all
+    ``m.rows`` rows, the rank rows first.  The RREF is the unique one,
+    so it doubles as a canonical form for row spaces.
     """
-    field = m.field
-    sub, mul = field.sub, field.mul
-    zero = field.zero()
-    data = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if data[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        prow = data[r]
-        inv = field.inv(prow[c])
-        pivot_nz = [(j, mul(inv, y)) for j, y in enumerate(prow) if y != zero]
-        for j, y in pivot_nz:
-            prow[j] = y
-        for i in range(rows):
-            row = data[i]
-            factor = row[c]
-            if i != r and factor != zero:
-                for j, y in pivot_nz:
-                    row[j] = sub(row[j], mul(factor, y))
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Matrix(field, data, cols=cols), tuple(pivots), len(pivots)
+    pivot_rows = _eliminate(m.field, _sparse_rows(m.field, m.cols, m.data))
+    pivots = tuple(sorted(pivot_rows))
+    out = Matrix.zeros(m.field, m.rows, m.cols)
+    for orow, p in zip(out.data, pivots):
+        for j, x in pivot_rows[p].items():
+            orow[j] = x
+    return out, pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -328,41 +390,40 @@ def rank(m: Matrix) -> int:
 
 
 class SubspaceBasis:
-    """Subspace of K^ambient, stored as the RREF rows of a spanning set."""
+    """Subspace of K^ambient, stored as the RREF rows of a spanning set.
 
-    __slots__ = ("field", "ambient_dim", "vectors")
+    The spanning vectors are dense lists of length ``ambient_dim`` or
+    sparse rows ``{col: value}``; only the rank rows are stored dense,
+    with the pivot columns the elimination found.
+    """
 
-    def __init__(self, field, ambient_dim, vectors, reduce=True):
+    __slots__ = ("field", "ambient_dim", "vectors", "_pivots")
+
+    def __init__(self, field, ambient_dim, vectors):
         self.field = field
         self.ambient_dim = ambient_dim
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if reduce and vectors:
-            ech, pivots, _ = rref(Matrix(field, vectors))
-            vectors = [list(ech.data[i]) for i in range(len(pivots))]
-        self.vectors = vectors
+        pivot_rows = _eliminate(field, _sparse_rows(field, ambient_dim, vectors))
+        zero = field.zero()
+        self._pivots = tuple(sorted(pivot_rows))
+        self.vectors = []
+        for p in self._pivots:
+            v = [zero] * ambient_dim
+            for c, x in pivot_rows[p].items():
+                v[c] = x
+            self.vectors.append(v)
 
     @property
     def dim(self):
         return len(self.vectors)
 
     def pivots(self):
-        zero = self.field.zero()
-        out = []
-        for v in self.vectors:
-            for c, x in enumerate(v):
-                if x != zero:
-                    out.append(c)
-                    break
-        return tuple(out)
+        return self._pivots
 
     def contains(self, vec):
         """Membership test by reducing against the echelon rows."""
         zero = self.field.zero()
         v = list(vec)
-        for row, p in zip(self.vectors, self.pivots()):
+        for row, p in zip(self.vectors, self._pivots):
             if v[p] != zero:
                 c = v[p]
                 v = [self.field.sub(x, self.field.mul(c, y)) for x, y in zip(v, row)]
@@ -377,20 +438,24 @@ class SubspaceBasis:
         return "SubspaceBasis(dim %d of K^%d)" % (self.dim, self.ambient_dim)
 
 
-def kernel_basis(f: Matrix) -> SubspaceBasis:
-    """Basis of { v : f v = 0 }; dimension = domain_dim − rank(f)."""
-    field = f.field
-    ech, pivots, _ = rref(f)
-    free = [c for c in range(f.cols) if c not in pivots]
-    vectors = []
-    zero, one = field.zero(), field.one()
-    for c in free:
-        v = [zero] * f.cols
-        v[c] = one
-        for r, p in enumerate(pivots):
-            v[p] = field.neg(ech.data[r][c])
-        vectors.append(v)
-    return SubspaceBasis(field, f.cols, vectors)
+def kernel_basis(f, field=None, cols=None) -> SubspaceBasis:
+    """Basis of { v : f v = 0 }; dimension = cols − rank(f).
+
+    ``f`` is a Matrix, or a list of sparse rows ``{col: value}`` over
+    ``field`` with ``cols`` columns.  Each free column c gives the kernel
+    vector e_c − Σ_p row_p[c]·e_p over the pivot rows; the basis is
+    returned in RREF.
+    """
+    if isinstance(f, Matrix):
+        field, cols, f = f.field, f.cols, f.data
+    pivot_rows = _eliminate(field, _sparse_rows(field, cols, f))
+    one = field.one()
+    kernel = {c: {c: one} for c in range(cols) if c not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = field.neg(x)
+    return SubspaceBasis(field, cols, list(kernel.values()))
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -399,6 +464,8 @@ def solve_matrix(a: Matrix, b: Matrix):
     The free unknowns are 0; a pivot in the b columns means some column
     of b is not in the image of a.
     """
+    if a.rows != b.rows:
+        raise ValueError("a has %d rows but b has %d" % (a.rows, b.rows))
     aug = Matrix(a.field, [ra + rb for ra, rb in zip(a.data, b.data)],
                  cols=a.cols + b.cols)
     ech, pivots, _ = rref(aug)

@@ -80,6 +80,28 @@ def dense_rref(m):
     return Matrix(field, data, cols=cols), tuple(pivots), len(pivots)
 
 
+def dense_kernel(m):
+    """Kernel vectors of m and their pivots, from ``dense_rref``: one vector
+    per free column c (1 at c, −echelon[r][c] at each pivot p_r), then put
+    in RREF.  The reference that ``linalg.kernel_basis`` is checked against.
+    """
+    field = m.field
+    ech, pivots, _ = dense_rref(m)
+    vectors = []
+    for c in range(m.cols):
+        if c in pivots:
+            continue
+        v = [field.zero()] * m.cols
+        v[c] = field.one()
+        for r, p in enumerate(pivots):
+            v[p] = field.neg(ech.data[r][c])
+        vectors.append(v)
+    if not vectors:
+        return [], ()
+    ech, pivots, rank = dense_rref(Matrix(field, vectors, cols=m.cols))
+    return ech.data[:rank], pivots
+
+
 def column_solve_matrix(a, b):
     """One solution X of a X = b, or None, solved one column of b at a time.
 
@@ -97,6 +119,49 @@ def column_solve_matrix(a, b):
         for r, p in enumerate(pivots):
             out.data[p][j] = ech.data[r][a.cols]
     return out
+
+
+def cyclic_document(n, p=None, perm=None, diag=None):
+    """Z/n acting on K^n by g = M C M^{-1}, over Q or (``p``) F_p.
+
+    C is the shift e_i ↦ e_{i+1 mod n} and M e_i = diag[i]·e_{perm[i]}
+    (the identity by default), so g is monomial with entries
+    diag[i+1]/diag[i].  The document also carries B = functions on Z/n
+    (Δδ_k = Σ_{a+b=k} δ_a⊗δ_b, ε = δ_0) and the coaction
+    ρ(v) = Σ_h δ_h ⊗ g^h v on F(star).
+    """
+    perm = list(range(n)) if perm is None else perm
+    diag = [1] * n if diag is None else diag
+
+    def fmt(x):
+        if p is None:
+            return str(x)
+        return str(x.numerator * pow(x.denominator, p - 2, p) % p)
+
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        g[perm[j]][perm[i]] = Fraction(diag[j], diag[i])
+    rho = []
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        rho.extend([[fmt(x) for x in row] for row in power])
+        power = [[sum(g[i][t] * power[t][j] for t in range(n))
+                  for j in range(n)] for i in range(n)]
+    delta = [[str(int((a + b) % n == k)) for k in range(n)]
+             for a in range(n) for b in range(n)]
+    return {
+        "field": "Q" if p is None else {"Fp": p},
+        "objects": ["star"],
+        "generators": [{"name": "g", "src": "star", "dst": "star"}],
+        "relations": [[["g"] * n, {"at": "star"}]],
+        "functor": {"on_objects": {"star": n},
+                    "on_generators": {"g": [[fmt(x) for x in row]
+                                            for row in g]}},
+        "coalgebra": {"dim": n, "delta": delta,
+                      "eps": [[str(int(k == 0)) for k in range(n)]]},
+        "comodules": {"star": rho},
+    }
 
 
 def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):

@@ -6,6 +6,8 @@ import pytest
 from tannakit import Matrix
 from tannakit.cli import main
 
+from conftest import cyclic_document
+
 BROKEN_DOC = {
     "field": "Q",
     "objects": ["star"],
@@ -19,30 +21,6 @@ BROKEN_DOC = {
 
 EMPTY_DOC = {"field": "Q", "objects": [], "generators": [], "relations": [],
              "functor": {"on_objects": {}, "on_generators": {}}}
-
-
-def cyclic_document(n):
-    """Z/n acting on its regular representation by the shift, with B the
-    functions on Z/n and the coaction ρ(v) = Σ_h δ_h ⊗ g^h v."""
-    shift = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
-    rho = []
-    for h in range(n):
-        rho.extend([[str(int(i == (j + h) % n)) for j in range(n)]
-                    for i in range(n)])
-    delta = [[str(int((a + b) % n == k)) for k in range(n)]
-             for a in range(n) for b in range(n)]
-    return {
-        "field": "Q",
-        "objects": ["star"],
-        "generators": [{"name": "g", "src": "star", "dst": "star"}],
-        "relations": [[["g"] * n, {"at": "star"}]],
-        "functor": {"on_objects": {"star": n},
-                    "on_generators": {"g": [[str(x) for x in row]
-                                            for row in shift]}},
-        "coalgebra": {"dim": n, "delta": delta,
-                      "eps": [[str(int(k == 0)) for k in range(n)]]},
-        "comodules": {"star": rho},
-    }
 
 
 def run(capsys, *argv):
@@ -214,13 +192,9 @@ def test_field_override(tmp_path, capsys):
     assert code == 0
 
 
-def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, capsys):
-    # Δ, the coalgebra laws and the comodule laws contract one index at a
-    # time, so no cyclic job allocates a Kronecker product of λ with itself
-    n = 5
-    ambient_dim = n * n
-    path = tmp_path / "cyclic5.json"
-    path.write_text(json.dumps(cyclic_document(n)))
+def largest_allocation(monkeypatch, capsys, path, commands):
+    """Entries of the largest ``Matrix`` that the commands allocate on the
+    document at ``path``; each command must exit 0."""
     largest = [0]
     zeros, init = Matrix.zeros.__func__, Matrix.__init__
 
@@ -232,9 +206,49 @@ def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, cap
         init(self, *args, **kwargs)
         largest[0] = max(largest[0], self.rows * self.cols)
 
-    monkeypatch.setattr(Matrix, "zeros", classmethod(recording_zeros))
-    monkeypatch.setattr(Matrix, "__init__", recording_init)
-    for command in ("reconstruct", "lift", "rho-tilde"):
-        code, out = run(capsys, command, "--input", str(path), "--json")
-        assert code == 0, out
-    assert 0 < largest[0] <= ambient_dim ** 2
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "zeros", classmethod(recording_zeros))
+        patch.setattr(Matrix, "__init__", recording_init)
+        for command in commands:
+            code, out = run(capsys, command, "--input", str(path), "--json")
+            assert code == 0, out
+    return largest[0]
+
+
+def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, capsys):
+    # Δ, the coalgebra laws and the comodule laws contract one index at a
+    # time, so no cyclic job allocates a Kronecker product of λ with itself
+    n = 5
+    ambient_dim = n * n
+    path = tmp_path / "cyclic5.json"
+    path.write_text(json.dumps(cyclic_document(n)))
+    largest = largest_allocation(monkeypatch, capsys, path,
+                                 ("reconstruct", "lift", "rho-tilde"))
+    assert 0 < largest <= ambient_dim ** 2
+
+
+def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch, capsys):
+    # the relation and naturality systems are eliminated as sparse rows,
+    # so the largest matrix nat builds is a λ, a section or a projection
+    n = 5
+    ambient_dim = n * n
+    path = tmp_path / "cyclic5.json"
+    path.write_text(json.dumps(cyclic_document(n)))
+    largest = largest_allocation(monkeypatch, capsys, path, ("nat",))
+    assert 0 < largest <= ambient_dim * n
+
+
+@pytest.mark.parametrize("modulus", ["4", "3317044064679887385961981"])
+def test_unusable_modulus_exits_with_one_line(tmp_path, capsys, modulus):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--fixture", "z2_character", "--field",
+              "Fp:" + modulus, "--json"])
+    message = str(info.value.code)
+    assert message.startswith("field:") and modulus in message
+    assert "\n" not in message
+    doc = dict(EMPTY_DOC, field={"Fp": int(modulus)})
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--input", str(path)])
+    assert str(info.value.code) == message

@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from tannakit import (GF, Matrix, QQ, SubspaceBasis, kernel_basis, kron,
-                      quotient, rank, rref, solve_matrix)
+                      load_document, quotient, rank, rref, solve_matrix)
+from tannakit.coend import relation_vectors
 from tannakit.linalg import (kron_apply, kron_perm, perm_matrix, permute_cols,
                              swap_perm)
 
-from conftest import (column_solve_matrix, dense_rref, dense_swap, rand_invertible,
-                      rand_matrix, rand_sparse_matrix)
+from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
+                      dense_rref, dense_swap, rand_invertible, rand_matrix,
+                      rand_sparse_matrix)
 
 
 def minor_rank(m):
@@ -81,6 +83,73 @@ def test_rref_matches_dense_rref(rng, field):
             assert got[2] <= k
     for m in [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 0)]:
         assert rref(m) == dense_rref(m)
+
+
+def relation_shaped(field, rng):
+    """Relation matrices of cyclic Z/2…Z/6 (g conjugated by a monomial
+    matrix, so Q entries have denominators), then with a zero row, a
+    repeated row and a shuffle of the rows; a rank-0 and a full-rank
+    matrix; and random rank-deficient ones."""
+    p = None if field == QQ else field.p
+    out = []
+    for n in range(2, 7):
+        perm = list(reversed(range(n)))
+        diag = [2, -3, 1, 3, -1, -2][:n]
+        doc = load_document(cyclic_document(n, p, perm, diag))
+        ambient, vectors = relation_vectors(doc.category, doc.functor,
+                                            doc.functor)
+        out.append(Matrix(field, vectors, cols=ambient))
+        rows = [list(v) for v in vectors]
+        rows.insert(n, [field.zero()] * ambient)
+        rows.append(list(rows[1]))
+        rng.shuffle(rows)
+        out.append(Matrix(field, rows, cols=ambient))
+    out.append(Matrix.zeros(field, 4, 6))
+    out.append(rand_invertible(rng, field, 5))
+    for rows, cols, k in [(6, 9, 3), (9, 6, 4), (1, 5, 1)]:
+        out.append(rand_sparse_matrix(rng, field, rows, k, 0.5, denom=True)
+                   @ rand_sparse_matrix(rng, field, k, cols, 0.5, denom=True))
+    return out
+
+
+def sparse_rows(m):
+    zero = m.field.zero()
+    return [{c: x for c, x in enumerate(row) if x != zero} for row in m.data]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_rref_matches_dense_rref_on_relation_shapes(rng, field):
+    kinds = set()
+    for m in relation_shaped(field, rng):
+        got = rref(m)
+        assert got == dense_rref(m)
+        assert got[0].rows == m.rows
+        r = got[2]
+        kinds.add("zero" if r == 0 else
+                  "full" if r == min(m.rows, m.cols) else "deficient")
+    assert kinds == {"zero", "full", "deficient"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_subspace_and_kernel_match_dense_references(rng, field):
+    for m in relation_shaped(field, rng):
+        ech, pivots, rank_m = dense_rref(m)
+        for span in (SubspaceBasis(field, m.cols, m.data),
+                     SubspaceBasis(field, m.cols, sparse_rows(m))):
+            assert span.vectors == ech.data[:rank_m]
+            assert span.pivots() == pivots
+        vectors, kernel_pivots = dense_kernel(m)
+        for ker in (kernel_basis(m),
+                    kernel_basis(sparse_rows(m), field, m.cols)):
+            assert ker.vectors == vectors
+            assert ker.pivots() == kernel_pivots
+            assert ker.dim == m.cols - rank_m
+
+
+def test_subspace_rejects_vectors_outside_the_ambient():
+    for vectors in ([[1, 2, 3, 4]], [{3: 1}], [{-1: 1}]):
+        with pytest.raises(ValueError):
+            SubspaceBasis(QQ, 3, vectors)
 
 
 def test_kernel_identity_and_zero():
@@ -269,6 +338,20 @@ def test_solve_matrix_matches_column_oracle(rng, field):
             assert a @ got == b
         solvable.add(got is not None)
     assert solvable == {True, False}
+
+
+def test_solve_matrix_rejects_row_mismatch():
+    with pytest.raises(ValueError):
+        solve_matrix(Matrix.identity(QQ, 2), Matrix.from_ints(QQ, [[1], [2], [3]]))
+    with pytest.raises(ValueError):
+        solve_matrix(Matrix.identity(QQ, 3), Matrix.from_ints(QQ, [[1], [2]]))
+
+
+def test_matrix_rejects_cols_that_disagree_with_rows():
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1, 2]], cols=3)
+    assert Matrix(QQ, [[1, 2]], cols=2).cols == 2
+    assert Matrix(QQ, [], cols=3).cols == 3
 
 
 def test_solve_matrix_inverse():
