@@ -133,6 +133,8 @@ def validate_functor(cat: PresentedCategory, F: FiberFunctor) -> Report:
     for obj in cat.objects:
         if obj not in F.on_objects:
             report.add(Check("object_dim:%s" % obj, False, residue="missing"))
+        elif F.dim(obj) < 0:
+            report.add(Check("object_dim:%s" % obj, False, residue="negative"))
     for g in cat.generators:
         m = F.on_generators.get(g.name)
         ok = (m is not None and m.domain_dim == F.dim(g.src)
@@ -262,8 +264,8 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
     pairs = []
     for g in cat.generators:
         for obj in objs:
-            pairs.append((g, _identity_generator(obj)))
-            pairs.append((_identity_generator(obj), g))
+            pairs.append((g, _Id(obj)))
+            pairs.append((_Id(obj), g))
         for h in cat.generators:
             pairs.append((g, h))
     for g, h in pairs:
@@ -291,10 +293,6 @@ class _Id:
         self.src = obj
         self.dst = obj
         self.obj = obj
-
-
-def _identity_generator(obj):
-    return _Id(obj)
 
 
 def _gen_or_id_matrix(cat, F, g):

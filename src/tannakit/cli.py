@@ -51,6 +51,10 @@ def _read_document(args):
     except json.JSONDecodeError as exc:
         raise SystemExit("input is not valid JSON: line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
+    if not isinstance(raw, dict):
+        raise SystemExit("input must be a JSON object")
+    if not isinstance(raw.get("functor"), dict):
+        raise SystemExit('input has no "functor" object')
     if args.field:
         raw["field"] = _field_flag(args.field)
     try:
@@ -85,14 +89,6 @@ def _emit(payload: dict, report: Report, as_json: bool) -> int:
             print("%s %s%s" % ("PASS" if c.passed else "FAIL", c.name, tail))
         print("result: %s" % ("ok" if report.passed else "FAILED"))
     return 0 if report.passed else 1
-
-
-def _structure_payload(coalg, big=None, hopf=None):
-    if hopf is not None:
-        return hopf.to_json()
-    if big is not None:
-        return big.to_json()
-    return coalg.to_json()
 
 
 def cmd_validate(args):
@@ -135,7 +131,7 @@ def cmd_reconstruct(args):
             hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
                                    doc.duality, P, bialgebra=big)
             report.extend(hopf.checks())
-    payload["structure"] = _structure_payload(coalg, big, hopf)
+    payload["structure"] = (hopf or big or coalg).to_json()
     if hopf is not None:
         try:
             gls = grouplikes(coalg)

@@ -21,34 +21,34 @@ functional.
 
 Every map out of the quotient that is defined blockwise on the ambient
 sum descends through one path, ``CoendPresentation.push_to_quotient``:
-it solves through the section and then verifies, for maps on the ambient
-sum (Δ, ε, the antipode, ρ̃) and on its tensor square (the
-multiplication) alike, so the dinaturality arguments that make them well
-defined become machine checks.  The evaluation form placed on the
-counit's blocks comes from ``moncat.standard_pairing``; the standard
-coevaluation inside Δ is applied as a contraction over the middle index,
-so Δ never builds a Kronecker product.
+it restricts the map to the free columns of the quotient basis and then
+verifies, for maps on the ambient sum (Δ, ε, the antipode, ρ̃) and on its
+tensor square (the multiplication) alike, so the dinaturality arguments
+that make them well defined become machine checks.  The evaluation form
+placed on the counit's blocks comes from ``moncat.standard_pairing``; the
+standard coevaluation inside Δ is applied as a contraction over the
+middle index, so Δ never builds a Kronecker product.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
                      rref)
 from .moncat import standard_pairing
-from .report import Check, Report, VerificationError, check_equal
+from .report import Check, Report, VerificationError
 
 
 class CoendPresentation:
     """Nat^∨(F, G) with its block inclusions λ_C and quotient data."""
 
     def __init__(self, category, F, G, object_index, relation_span,
-                 proj, section):
+                 proj, free):
         self.category = category
         self.F = F
         self.G = G
         self.object_index = object_index      # list of (object, F-dim, G-dim)
         self.relation_span = relation_span
         self.proj = proj
-        self.section = section
+        self.free = free                      # ambient columns of the quotient basis
         self.offsets = {}
         off = 0
         for obj, fd, gd in object_index:
@@ -86,25 +86,27 @@ class CoendPresentation:
         return out
 
     def push_to_quotient(self, ambient_map: Matrix, name: str) -> Matrix:
-        """Solve h∘π = ambient_map through the section, then verify.
+        """Solve h∘π = ambient_map on the free columns, then verify.
 
         The single descent path to the quotient.  The domain is read from
         ``ambient_map.cols``: the ambient sum (π = proj) or its tensor
-        square (π = proj⊗proj, solved through section⊗section), where
-        the multiplication lives.  The candidate factors through π
-        exactly when ambient_map kills the relations, which is re-checked
-        here rather than assumed.
+        square (π = proj⊗proj, whose free columns are the pairs
+        a·n + b of free columns), where the multiplication lives.  π is
+        the identity on the free columns, so the candidate is ambient_map
+        restricted to them; it factors through π exactly when ambient_map
+        kills the relations, which is re-checked here rather than assumed.
         """
         n = self.ambient_dim
         if ambient_map.cols == n:
-            proj, section = self.proj, self.section
+            proj, cols = self.proj, self.free
         elif ambient_map.cols == n * n:
             proj = kron(self.proj, self.proj)
-            section = kron(self.section, self.section)
+            cols = [a * n + b for a in self.free for b in self.free]
         else:
             raise ValueError("%s has %d columns, not %d or %d"
                              % (name, ambient_map.cols, n, n * n))
-        candidate = ambient_map @ section
+        candidate = Matrix(self.field, [[row[c] for c in cols]
+                                        for row in ambient_map.data], cols=len(cols))
         if not (candidate @ proj == ambient_map):
             raise VerificationError(
                 "%s does not descend to the coend quotient "
@@ -185,25 +187,9 @@ def natvee(cat: PresentedCategory, F: FiberFunctor,
         raise ValueError("functors live over different fields")
     ambient, rows = _relation_rows(cat, F, G)
     span = SubspaceBasis(F.field, ambient, rows)
-    proj, section = quotient(ambient, span)
+    proj, free = quotient(ambient, span)
     object_index = [(obj, F.dim(obj), G.dim(obj)) for obj in cat.objects]
-    return CoendPresentation(cat, F, G, object_index, span, proj, section)
-
-
-def check_dinaturality(P: CoendPresentation) -> Report:
-    """λ_C∘(id⊗G(f)^∨) = λ_{C'}∘(F(f)⊗id) for every generator, exactly."""
-    report = Report()
-    field = P.field
-    for g in P.category.generators:
-        src, dst = g.src, g.dst
-        fmat = P.F.gen_matrix(g.name)
-        gmat = P.G.gen_matrix(g.name)
-        id_fsrc = Matrix.identity(field, P.F.dim(src))
-        id_gdst = Matrix.identity(field, P.G.dim(dst))
-        lhs = P.lam(src) @ kron(id_fsrc, gmat.transpose())
-        rhs = P.lam(dst) @ kron(fmat, id_gdst)
-        report.add(check_equal("dinaturality:%s" % g.name, lhs, rhs))
-    return report
+    return CoendPresentation(cat, F, G, object_index, span, proj, free)
 
 
 class EndSpace:
@@ -317,8 +303,8 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
         block[r·q_GH + s][i·hd + l] = Σ_j λ_FG[r][i·gd + j] · λ_GH[s][j·hd + l]
 
     over the nonzeros of the two λ_C, without building either Kronecker
-    factor.  The candidate is solved through the section and verified on
-    every block.
+    factor.  The candidate descends through ``push_to_quotient`` and is
+    verified on every block.
     """
     field = P_FH.field
     add, mul = field.add, field.mul

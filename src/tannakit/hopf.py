@@ -1,7 +1,7 @@
 """Structure-constant records for (co)algebras, bialgebras, Hopf algebras
 and comodules over a finite-dimensional carrier, with every axiom an
-exact matrix identity, plus the convolution algebra, comatrix coalgebras,
-grouplike elements and characters.
+exact matrix identity, plus the convolution algebra, grouplike elements
+and characters.
 
 Comodules are left comodules throughout: ρ: M → B⊗M.  The symmetry ψ
 in the bialgebra law is an index map (``linalg.swap_perm``), applied
@@ -11,18 +11,18 @@ comodule-morphism laws apply their tensor products through
 S ∗ id = u∘ε = id ∗ S, computed by ``convolution``.
 
 Grouplikes of the coalgebra and characters of the algebra share one
-bounded exhaustive search (``_search_space``, sized before anything is
-enumerated) filtered by the definition, and one group table
-(``_group_table``) whose entries are the index of the last element equal
-to each product.
+bounded exhaustive search (``_search_space``, sized against
+``ENUMERATION_BOUND`` before anything is enumerated) filtered by the
+definition, and one group table (``_group_table``) whose entries are the
+index of the last element equal to each product.
 """
 
 from itertools import product
 
-from .fields import QQ
 from .linalg import Matrix, kron, kron_apply, kron_perm, permute_cols, swap_perm
-from .moncat import standard_pairing
 from .report import Check, Report, check_equal
+
+ENUMERATION_BOUND = 1 << 17  # largest space the bounded search enumerates
 
 
 class CoalgebraData:
@@ -229,30 +229,11 @@ def convolve_functionals(xi1: Matrix, xi2: Matrix, C: CoalgebraData) -> Matrix:
     return kron_apply(xi1, xi2, C.delta)
 
 
-def scalar_algebra(field) -> AlgebraData:
-    one = Matrix.identity(field, 1)
-    return AlgebraData(1, one, one)
-
-
-def comatrix_coalgebra(n: int, field=QQ) -> CoalgebraData:
-    """V⊗V^∨ with Δ(e_i⊗e_j^∨) = Σ_k (e_i⊗e_k^∨)⊗(e_k⊗e_j^∨), ε = δ_ij."""
-    dim = n * n
-    delta = Matrix.zeros(field, dim * dim, dim)
-    one = field.one()
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for k in range(n):
-                row = (i * n + k) * dim + (k * n + j)
-                delta.data[row][col] = one
-    return CoalgebraData(dim, delta, standard_pairing(n, field).eval)
-
-
 class UnsupportedCoalgebraError(ValueError):
     """Grouplike search over the rationals needs a solvable Δ shape."""
 
 
-def _search_space(field, dim, enumeration_bound):
+def _search_space(field, dim):
     """Every coordinate vector a bounded search tries, as value tuples.
 
     Over a prime field that is all of K^dim; over the rationals it is the
@@ -261,12 +242,12 @@ def _search_space(field, dim, enumeration_bound):
     """
     if hasattr(field, "p"):
         total = field.p ** dim
-        if total > enumeration_bound:
+        if total > ENUMERATION_BOUND:
             raise UnsupportedCoalgebraError(
                 "enumeration space %d exceeds the bound" % total)
         values = field.elements()
     else:
-        if 3 ** dim > enumeration_bound:
+        if 3 ** dim > ENUMERATION_BOUND:
             raise UnsupportedCoalgebraError(
                 "value-pattern space 3^%d exceeds the bound" % dim)
         values = [field.zero(), field.one(), field.neg(field.one())]
@@ -280,28 +261,24 @@ def is_grouplike(B: CoalgebraData, vec) -> bool:
             and B.eps @ col == Matrix.identity(field, 1))
 
 
-def grouplikes(B: CoalgebraData, candidates=None, enumeration_bound=1 << 17):
+def grouplikes(B: CoalgebraData):
     """All v with Δ(v) = v⊗v and ε(v) = 1, as coordinate vectors.
 
     Over a prime field the solutions are found by exhaustive enumeration
-    (the state space must stay under ``enumeration_bound``).  Over the
+    (the state space must stay within ``ENUMERATION_BOUND``).  Over the
     rationals the solved case is the diagonal monomial shape
     Δ(b_i) = b_i⊗b_i, where the quadratic system collapses to picking
-    single basis vectors with ε = 1; any other shape needs an explicit
-    candidate list, which is filtered by the definition.
+    single basis vectors with ε = 1; any other shape is refused.
     """
     field = B.field
-    if candidates is None and not hasattr(field, "p"):
+    if not hasattr(field, "p"):
         if not _is_diagonal_monomial(B):
             raise UnsupportedCoalgebraError(
-                "over Q only diagonal monomial comultiplications are solved; "
-                "supply candidates")
+                "over Q only diagonal monomial comultiplications are solved")
         one, zero = field.one(), field.zero()
         return [[one if j == i else zero for j in range(B.dim)]
                 for i in range(B.dim) if B.eps.data[0][i] == one]
-    if candidates is None:
-        candidates = _search_space(field, B.dim, enumeration_bound)
-    return [list(v) for v in candidates if is_grouplike(B, v)]
+    return [list(v) for v in _search_space(field, B.dim) if is_grouplike(B, v)]
 
 
 def _is_diagonal_monomial(B: CoalgebraData) -> bool:
@@ -363,7 +340,7 @@ def check_character(chi: Matrix, B: BialgebraData) -> bool:
             and chi @ B.u == Matrix.identity(B.field, 1))
 
 
-def characters(B: BialgebraData, candidates=None, enumeration_bound=1 << 17):
+def characters(B: BialgebraData):
     """Algebra morphisms B → K, the dual notion of grouplikes.
 
     Over a prime field: exhaustive enumeration of functionals.  Over the
@@ -371,16 +348,14 @@ def characters(B: BialgebraData, candidates=None, enumeration_bound=1 << 17):
     the basis is then a finite monoid under m, each basis element has a
     multiplicative order there, and a character value t over Q satisfying
     t^a(t^b − 1) = 0 lies in {0, 1, −1}; enumerating those value patterns
-    and filtering by the definition is exhaustive.  Other shapes need an
-    explicit candidate list.
+    and filtering by the definition is exhaustive.  Other shapes are
+    refused.
     """
     field = B.field
-    if candidates is None:
-        if not hasattr(field, "p") and not _is_diagonal_monomial(B.coalgebra):
-            raise UnsupportedCoalgebraError(
-                "over Q only grouplike-basis bialgebras are solved; supply candidates")
-        candidates = (Matrix.row(field, v)
-                      for v in _search_space(field, B.dim, enumeration_bound))
+    if not hasattr(field, "p") and not _is_diagonal_monomial(B.coalgebra):
+        raise UnsupportedCoalgebraError(
+            "over Q only grouplike-basis bialgebras are solved")
+    candidates = (Matrix.row(field, v) for v in _search_space(field, B.dim))
     return [c for c in candidates if check_character(c, B)]
 
 

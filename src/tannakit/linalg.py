@@ -131,10 +131,6 @@ class Matrix:
         return Matrix(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.data, other.data)])
 
-    def scale(self, c):
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in row] for row in self.data])
-
     def __matmul__(self, other):
         """Matrix product = composition of linear maps (self after other).
 
@@ -177,31 +173,6 @@ class Matrix:
                 out.data[j][i] = self.data[i][j]
         return out
 
-    def kron(self, other):
-        """Kronecker product under the fixed index convention."""
-        field = self.field
-        mul = field.mul
-        zero, one = field.zero(), field.one()
-        out = Matrix.zeros(field, self.rows * other.rows, self.cols * other.cols)
-        bnz = [[(l, v) for l, v in enumerate(row) if v != zero]
-               for row in other.data]
-        for i in range(self.rows):
-            arow = self.data[i]
-            for j in range(self.cols):
-                a = arow[j]
-                if a == zero:
-                    continue
-                base = j * other.cols
-                for k in range(other.rows):
-                    orow = out.data[i * other.rows + k]
-                    if a == one:
-                        for l, v in bnz[k]:
-                            orow[base + l] = v
-                    else:
-                        for l, v in bnz[k]:
-                            orow[base + l] = mul(a, v)
-        return out
-
     def apply(self, vec):
         """Image of a coordinate vector (list of scalars)."""
         if len(vec) != self.cols:
@@ -225,7 +196,26 @@ class Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
+    """Kronecker product under the fixed index convention."""
+    field = a.field
+    mul = field.mul
+    zero, one = field.zero(), field.one()
+    out = Matrix.zeros(field, a.rows * b.rows, a.cols * b.cols)
+    bnz = [[(l, v) for l, v in enumerate(row) if v != zero] for row in b.data]
+    for i, arow in enumerate(a.data):
+        for j, x in enumerate(arow):
+            if x == zero:
+                continue
+            base = j * b.cols
+            for k in range(b.rows):
+                orow = out.data[i * b.rows + k]
+                if x == one:
+                    for l, v in bnz[k]:
+                        orow[base + l] = v
+                else:
+                    for l, v in bnz[k]:
+                        orow[base + l] = mul(x, v)
+    return out
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
@@ -419,16 +409,6 @@ class SubspaceBasis:
     def pivots(self):
         return self._pivots
 
-    def contains(self, vec):
-        """Membership test by reducing against the echelon rows."""
-        zero = self.field.zero()
-        v = list(vec)
-        for row, p in zip(self.vectors, self._pivots):
-            if v[p] != zero:
-                c = v[p]
-                v = [self.field.sub(x, self.field.mul(c, y)) for x, y in zip(v, row)]
-        return all(x == zero for x in v)
-
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)
                 and self.ambient_dim == other.ambient_dim
@@ -480,18 +460,18 @@ def solve_matrix(a: Matrix, b: Matrix):
 def quotient(ambient_dim: int, relations: SubspaceBasis):
     """Quotient of K^ambient by a relation subspace.
 
-    Returns ``(proj, section)``: ``proj`` is surjective with kernel exactly
-    the relation span, ``section`` satisfies ``proj @ section = identity``,
-    and the quotient basis is the non-pivot coordinates of the relation
-    echelon (canonical representatives).
+    Returns ``(proj, free)``: ``free`` is the tuple of non-pivot columns of
+    the relation echelon, whose basis vectors are the quotient basis
+    (canonical representatives), and ``proj`` is surjective with kernel
+    exactly the relation span and is the identity on those columns.
     """
     if relations.ambient_dim != ambient_dim:
         raise ValueError("relations live in the wrong ambient space")
     field = relations.field
     pivots = relations.pivots()
-    free = [c for c in range(ambient_dim) if c not in pivots]
-    q = len(free)
-    proj = Matrix.zeros(field, q, ambient_dim)
+    pivot_set = set(pivots)
+    free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
+    proj = Matrix.zeros(field, len(free), ambient_dim)
     one = field.one()
     for i, c in enumerate(free):
         proj.data[i][c] = one
@@ -499,7 +479,4 @@ def quotient(ambient_dim: int, relations: SubspaceBasis):
         # e_p ≡ -Σ_{free n} row[n]·e_n modulo the relations
         for i, n in enumerate(free):
             proj.data[i][p] = field.neg(row[n])
-    section = Matrix.zeros(field, ambient_dim, q)
-    for i, c in enumerate(free):
-        section.data[c][i] = one
-    return proj, section
+    return proj, free

@@ -115,23 +115,6 @@ def perm_of(e: SymExpr):
     raise ExprError("not a SymExpr: %r" % (e,))
 
 
-def block_swap(word, split: int) -> SymExpr:
-    """ψ for the block split (first ``split`` atoms vs the rest), expanded
-    into adjacent transpositions by bubbling each suffix letter left."""
-    word = tuple(word)
-    if not (0 <= split <= len(word)):
-        raise ExprError("split out of range")
-    expr = Identity(word)
-    current = word
-    n = len(word)
-    for s in range(n - split):
-        for p in range(split + s - 1, s - 1, -1):
-            swap = AdjacentSwap(current, p)
-            expr = Compose(expr, swap)
-            current = swap.codomain
-    return expr
-
-
 def coherence_equal(e1: SymExpr, e2: SymExpr) -> bool:
     """Decide equality of two symmetry expressions with equal boundaries.
 

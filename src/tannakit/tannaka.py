@@ -22,7 +22,7 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
                     natvee)
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule, check_comodule_morphism,
-                   comatrix_coalgebra, convolve_functionals)
+                   convolve_functionals)
 from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, kron_apply,
                      kron_perm, permute_cols, solve_matrix, swap_perm)
 from .report import Check, Report, VerificationError, check_equal
@@ -180,22 +180,6 @@ def _coefficient_map(com: ComoduleData) -> Matrix:
                    for b in range(com.coalgebra_dim)], cols=d * d)
 
 
-def alpha_tilde(com: ComoduleData, B: CoalgebraData):
-    """Coefficient map α̃ = (id_B⊗eval)∘(ρ⊗id): V⊗V^∨ → B.
-
-    Verified to be a coalgebra morphism from the comatrix coalgebra of V
-    to B.  Returns (alpha, report).
-    """
-    alpha = _coefficient_map(com)
-    source = comatrix_coalgebra(com.space_dim, B.field)
-    report = Report()
-    report.add(check_equal("alpha_tilde_respects_delta",
-                           B.delta @ alpha,
-                           kron_apply(alpha, alpha, source.delta)))
-    report.add(check_equal("alpha_tilde_respects_eps", B.eps @ alpha, source.eps))
-    return alpha, report
-
-
 def rep_of_comodule(com: ComoduleData, chi: Matrix) -> Matrix:
     """Action of a character through the coaction: θ(χ) = (χ⊗id)∘ρ."""
     if chi.rows != 1 or chi.cols != com.coalgebra_dim:
@@ -276,13 +260,11 @@ def morphism_image_span(cat, F, src, dst):
         return spans[(a, b)]
 
     def add(a, b, mat):
-        flat = [x for row in mat.data for x in row]
         span = ensure(a, b)
-        if span.contains(flat):
-            return False
-        spans[(a, b)] = SubspaceBasis(field, span.ambient_dim,
-                                      span.vectors + [flat])
-        return True
+        grown = SubspaceBasis(field, span.ambient_dim,
+                              span.vectors + [[x for row in mat.data for x in row]])
+        spans[(a, b)] = grown
+        return grown.dim > span.dim
 
     for obj in cat.objects:
         add(obj, obj, Matrix.identity(field, F.dim(obj)))

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import Matrix, QQ, load_document, rref
+from tannakit import (FiberFunctor, Matrix, PresentedCategory, QQ,
+                      endvee_coalgebra, load_document, natvee, rref)
 from tannakit.cli import load_fixture_text
 
 
@@ -14,6 +15,17 @@ FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
 
 def load_fixture(name):
     return load_document(json.loads(load_fixture_text(name)))
+
+
+def bare_object(dim, field=QQ):
+    """One object "V" of dimension ``dim`` and no generators."""
+    return PresentedCategory(["V"], []), FiberFunctor(field, {"V": dim}, {})
+
+
+def bare_endvee(dim, field=QQ):
+    """End^∨ of ``bare_object``: the comatrix coalgebra of K^dim."""
+    cat, F = bare_object(dim, field)
+    return endvee_coalgebra(natvee(cat, F, F))
 
 
 @pytest.fixture
@@ -176,7 +188,7 @@ def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):
 
 
 def rand_invertible(rng, field, n):
-    from tannakit import solve_matrix
+    from tannakit.linalg import solve_matrix
     while True:
         m = rand_matrix(rng, field, n, n)
         if solve_matrix(m, Matrix.identity(field, n)) is not None:
@@ -184,7 +196,7 @@ def rand_invertible(rng, field, n):
 
 
 def random_expr(rng, word, depth):
-    from tannakit import AdjacentSwap, Compose, Identity, Tensor
+    from tannakit.moncat import AdjacentSwap, Compose, Identity, Tensor
     if depth == 0 or len(word) < 2:
         if len(word) >= 2 and rng.random() < 0.7:
             return AdjacentSwap(word, rng.randrange(len(word) - 1))

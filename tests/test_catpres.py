@@ -1,11 +1,13 @@
 import pytest
 
 from tannakit import (FiberFunctor, Generator, Matrix, PresentedCategory, QQ,
-                      check_equal, check_triangles, dual_map, kron, path_eval,
-                      solve_matrix, standard_pairing, validate_duality_data,
-                      validate_functor, validate_tensor_data)
+                      check_triangles, dual_map, kron, standard_pairing)
 from tannakit.catpres import (PresentationError, dual_generator_map,
-                              duality_as_pairing, duality_pairing_vec)
+                              duality_as_pairing, duality_pairing_vec,
+                              path_eval, validate_duality_data,
+                              validate_functor, validate_tensor_data)
+from tannakit.linalg import solve_matrix
+from tannakit.report import check_equal
 
 from conftest import dense_swap, load_fixture, rand_matrix
 
@@ -125,7 +127,7 @@ def test_tensor_naturality_with_generators():
     # F(g⊗g) = F([g,g]) = 4 = F(g)·F(g) and everything validates
     cat = PresentedCategory(["star"], [Generator("g", "star", "star")])
     F = FiberFunctor(QQ, {"star": 1}, {"g": Matrix.from_ints(QQ, [[2]])})
-    from tannakit import TensorData
+    from tannakit.catpres import TensorData
     T = TensorData("star", {("star", "star"): "star"},
                    {("star", "star"): Matrix.from_ints(QQ, [[1]])},
                    Matrix.from_ints(QQ, [[1]]),
@@ -138,7 +140,7 @@ def test_tensor_naturality_violation_detected():
     # comparison square needs F(g⊗id) = F(g)⊗id = 2, not 1
     cat = PresentedCategory(["star"], [Generator("g", "star", "star")])
     F = FiberFunctor(QQ, {"star": 1}, {"g": Matrix.from_ints(QQ, [[2]])})
-    from tannakit import TensorData
+    from tannakit.catpres import TensorData
     T = TensorData("star", {("star", "star"): "star"},
                    {("star", "star"): Matrix.from_ints(QQ, [[1]])},
                    Matrix.from_ints(QQ, [[1]]),
@@ -161,7 +163,7 @@ def sorted_word_tensor(letter_dims, symmetry):
     its square holds exactly when s_{D,C}∘ψ = s_{C,D}.
     """
     from itertools import combinations_with_replacement, product
-    from tannakit import TensorData
+    from tannakit.catpres import TensorData
     from tannakit.catpres import Path
 
     letters = sorted(letter_dims)
@@ -271,7 +273,7 @@ def nontrivial_duality_setup(pairing_form=None, extra_gen=None):
     the unit its inverse (flattened), which is exactly the condition for
     the triangles.
     """
-    from tannakit import DualityData, TensorData, solve_matrix
+    from tannakit.catpres import DualityData, TensorData
     if pairing_form is None:
         pairing_form = Matrix.identity(QQ, 2)
     einv = solve_matrix(pairing_form, Matrix.identity(QQ, 2))
@@ -353,7 +355,6 @@ def test_dual_generator_matches_transpose_through_identification(rng):
     # the right-duality functor value on a generator corresponds to the
     # plain transpose under the canonical identification
     # ι': F(C)^∨ → F(C^∧) read off from the evaluated unit
-    from tannakit import solve_matrix
     form = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
     t_mat = rand_matrix(rng, QQ, 2, 2)
     cat, F, T, D = nontrivial_duality_setup(pairing_form=form, extra_gen=t_mat)

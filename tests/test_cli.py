@@ -56,6 +56,35 @@ def test_validate_reads_stdin(monkeypatch, capsys):
     assert code == 0
 
 
+def test_negative_object_dimension_fails_validation(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"objects": ["a"],
+                                "functor": {"on_objects": {"a": -2}}}))
+    negative = {"name": "object_dim:a", "passed": False, "residue": "negative"}
+    for command in ("validate", "reconstruct", "lift", "nat", "rho-tilde",
+                    "characters"):
+        code, out = run(capsys, command, "--input", str(path), "--json")
+        report = json.loads(out)
+        assert code == 1 and not report["passed"]
+        assert report["checks"][0] == negative
+        if command in ("validate", "reconstruct"):
+            assert report["checks"] == [negative]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"x"', "input must be a JSON object"),
+    ("[]", "input must be a JSON object"),
+    ("{}", 'input has no "functor" object'),
+])
+def test_document_without_functor_object_exits_with_one_line(monkeypatch, text,
+                                                             message):
+    for command in ("validate", "reconstruct"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--field", "Q"])
+        assert str(info.value.code) == message
+
+
 def test_reconstruct_character_fixture_json(capsys):
     code, out = run(capsys, "reconstruct", "--fixture", "z2_character", "--json")
     assert code == 0
@@ -229,7 +258,7 @@ def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, cap
 
 def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch, capsys):
     # the relation and naturality systems are eliminated as sparse rows,
-    # so the largest matrix nat builds is a λ, a section or a projection
+    # so the largest matrix nat builds is a λ or a projection
     n = 5
     ambient_dim = n * n
     path = tmp_path / "cyclic5.json"

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
-                      QQ, SubspaceBasis, VerificationError, check_dinaturality,
-                      cocomposition, coevaluation, counit, kron, nat_space,
-                      natvee, pairing_bijection_report, pairing_to_nat, rref,
-                      solve_matrix, standard_pairing)
-from tannakit.coend import relation_vectors
+                      QQ, VerificationError, cocomposition, counit, kron,
+                      nat_space, natvee, pairing_bijection_report, rref,
+                      standard_pairing)
+from tannakit.catpres import path_eval
+from tannakit.coend import coevaluation, pairing_to_nat, relation_vectors
+from tannakit.linalg import SubspaceBasis, solve_matrix
 
 from conftest import load_fixture, rand_invertible, rand_matrix
 
@@ -46,20 +47,13 @@ def test_natvee_character_category():
     assert P.lam("sigma").col(0) == [Fraction(0), Fraction(1)]
 
 
-def test_dinaturality_invariant():
-    doc = load_fixture("z2_regular")
-    P = natvee(doc.category, doc.functor, doc.functor)
-    assert check_dinaturality(P).passed
-
-
-def test_dinaturality_on_composite_paths(rng):
-    # generator relations suffice: dinaturality extends to all composites
-    from tannakit import path_eval
+def test_dinaturality_on_composite_paths():
+    # generator relations suffice: dinaturality extends to all composites,
+    # the identity (k = 0) and the generator itself (k = 1) included
     doc = load_fixture("z2_regular")
     P = natvee(doc.category, doc.functor, doc.functor)
     F = doc.functor
-    for _ in range(10):
-        k = rng.randint(0, 4)
+    for k in range(5):
         path = doc.category.path(["g"] * k, at="star")
         m = path_eval(doc.category, F, path)
         lhs = P.lam("star") @ kron(Matrix.identity(QQ, 2), m.transpose())
@@ -80,6 +74,7 @@ def test_generator_relations_span_composite_relations(rng):
     # composite h∘g: a → c; its relation vectors live in the same span
     comp = F.gen_matrix("h") @ F.gen_matrix("g")
     offs = {"a": 0, "b": 4, "c": 8}
+    composite = []
     for i in range(2):
         for j in range(2):
             vec = [QQ.zero()] * ambient
@@ -87,7 +82,9 @@ def test_generator_relations_span_composite_relations(rng):
                 vec[offs["a"] + i * 2 + k] += comp.data[j][k]
             for l in range(2):
                 vec[offs["c"] + l * 2 + j] -= comp.data[l][i]
-            assert span.contains(vec)
+            composite.append(vec)
+    assert any(any(v) for v in composite)
+    assert SubspaceBasis(QQ, ambient, vectors + composite) == span
 
 
 def test_universality_of_quotient(rng):
@@ -96,7 +93,8 @@ def test_universality_of_quotient(rng):
     P = natvee(doc.category, doc.functor, doc.functor)
     h = rand_matrix(rng, QQ, 1, P.quotient_dim) @ P.proj
     assert P.kills_relations(h)
-    assert (h @ P.section) @ P.proj == h
+    on_free = Matrix(QQ, [[h.data[0][c] for c in P.free]], cols=P.quotient_dim)
+    assert on_free @ P.proj == h
 
 
 def test_push_to_quotient_reads_domain_from_columns(rng):

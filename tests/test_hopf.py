@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from tannakit import (GF, AlgebraData, BialgebraData, CoalgebraData,
-                      ComoduleData, HopfData, Matrix, QQ, check_equal, kron,
-                      UnsupportedCoalgebraError, characters, check_character,
-                      check_comodule, check_comodule_morphism,
-                      comatrix_coalgebra, convolution, convolution_group,
-                      convolve_functionals, grouplike_group, grouplikes,
-                      scalar_algebra)
-from tannakit.hopf import enumerate_linear_maps
+                      ComoduleData, Matrix, QQ, UnsupportedCoalgebraError,
+                      characters, check_comodule, check_comodule_morphism,
+                      convolution_group, grouplike_group, grouplikes, kron)
+from tannakit import hopf
+from tannakit.hopf import (HopfData, check_character, convolution,
+                           convolve_functionals, enumerate_linear_maps,
+                           is_grouplike)
+from tannakit.report import check_equal
 
-from conftest import dense_swap, rand_matrix
+from conftest import bare_endvee, dense_swap, rand_matrix
 
 
 def group_algebra_z2(field=QQ):
@@ -84,14 +85,6 @@ def test_coalgebra_axiom_violation_detected():
     assert not report.passed
 
 
-def test_comatrix_coalgebra_small():
-    assert comatrix_coalgebra(1).checks().passed
-    C = comatrix_coalgebra(2)
-    assert C.dim == 4
-    assert C.checks().passed
-    assert comatrix_coalgebra(0).dim == 0
-
-
 def test_comodule_over_itself():
     C = function_coalgebra_z2()
     com = ComoduleData(2, 2, C.delta)
@@ -130,8 +123,8 @@ def test_convolution_antipode_law():
 
 
 def test_convolution_scalar_case():
-    K = CoalgebraData(1, Matrix.from_ints(QQ, [[1]]), Matrix.from_ints(QQ, [[1]]))
-    A = scalar_algebra(QQ)
+    one = Matrix.identity(QQ, 1)
+    K, A = CoalgebraData(1, one, one), AlgebraData(1, one, one)
     f = Matrix.from_ints(QQ, [[3]])
     g = Matrix.from_ints(QQ, [[5]])
     assert convolution(f, g, K, A) == Matrix.from_ints(QQ, [[15]])
@@ -150,7 +143,7 @@ def test_grouplikes_zero_coalgebra():
 
 def test_grouplikes_comatrix_f3_vs_bruteforce():
     f3 = GF(3)
-    C = comatrix_coalgebra(2, f3)
+    C = bare_endvee(2, f3)
     found = grouplikes(C)
 
     # independent oracle: solve the quadratic system cell by cell
@@ -180,16 +173,11 @@ def test_grouplikes_comatrix_f3_vs_bruteforce():
 
 
 def test_grouplikes_unsupported_over_q():
-    C = comatrix_coalgebra(2, QQ)
+    C = bare_endvee(2, QQ)
     with pytest.raises(UnsupportedCoalgebraError):
         grouplikes(C)
-    # the candidate route filters by the definition: no comatrix candidate
-    # survives, while group-algebra basis vectors do
-    cands = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
-    assert grouplikes(C, candidates=cands) == []
-    H = group_algebra_z2()
-    basis = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert grouplikes(H.bialgebra.coalgebra, candidates=basis) == basis
+    # the definition rejects a comatrix basis vector
+    assert not is_grouplike(C, [Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
 
 
 def _bruteforce_f3(dim, keep):
@@ -225,26 +213,31 @@ def test_grouplikes_and_characters_f3_vs_bruteforce():
     assert got == _bruteforce_f3(n, is_character) == [[1, 1], [1, 2]]
 
 
-def test_unsupported_search_messages():
+def test_unsupported_search_messages(monkeypatch):
     fp = group_algebra_z2(GF(3)).bialgebra
     q = group_algebra_z2(QQ).bialgebra
+    comatrix = bare_endvee(2, QQ)
+    monkeypatch.setattr(hopf, "ENUMERATION_BOUND", 8)
     cases = [
-        (lambda: grouplikes(fp.coalgebra, enumeration_bound=8),
+        (lambda: grouplikes(fp.coalgebra),
          "enumeration space 9 exceeds the bound"),
-        (lambda: characters(fp, enumeration_bound=8),
+        (lambda: characters(fp),
          "enumeration space 9 exceeds the bound"),
-        (lambda: characters(q, enumeration_bound=8),
+        (lambda: characters(q),
          "value-pattern space 3^2 exceeds the bound"),
-        (lambda: grouplikes(comatrix_coalgebra(2, QQ)),
-         "over Q only diagonal monomial comultiplications are solved; "
-         "supply candidates"),
+        (lambda: grouplikes(comatrix),
+         "over Q only diagonal monomial comultiplications are solved"),
+        (lambda: characters(BialgebraData(comatrix, AlgebraData(
+            4, Matrix.zeros(QQ, 4, 16), Matrix.zeros(QQ, 4, 1)))),
+         "over Q only grouplike-basis bialgebras are solved"),
     ]
     for search, message in cases:
         with pytest.raises(UnsupportedCoalgebraError) as exc:
             search()
         assert str(exc.value) == message
     # the bound is inclusive
-    assert len(characters(q, enumeration_bound=9)) == 2
+    monkeypatch.setattr(hopf, "ENUMERATION_BOUND", 9)
+    assert len(characters(q)) == 2
 
 
 def test_search_over_a_large_prime_field_refuses_at_once():

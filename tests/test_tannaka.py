@@ -3,18 +3,20 @@ from fractions import Fraction
 import pytest
 
 from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
-                      VerificationError, alpha_tilde, characters,
-                      check_comodule, check_rep_correspondence,
-                      comodule_morphism_space, convolve_functionals,
+                      VerificationError, characters, check_comodule,
+                      check_rep_correspondence, comodule_morphism_space,
                       endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       intertwines_all, kron, lift_functor,
-                      morphism_image_span, natvee, pairing_to_nat, rank,
-                      rep_of_comodule, rho_tilde, standard_pairing)
+                      morphism_image_span, natvee, rank, rho_tilde,
+                      standard_pairing)
 from tannakit.catpres import PresentationError
-from tannakit.hopf import enumerate_linear_maps
-from tannakit.tannaka import _coefficient_map
+from tannakit.coend import pairing_to_nat
+from tannakit.hopf import convolve_functionals, enumerate_linear_maps
+from tannakit.linalg import SubspaceBasis
+from tannakit.tannaka import _coefficient_map, rep_of_comodule
 
-from conftest import load_fixture, rand_matrix, rand_sparse_matrix
+from conftest import (bare_object, load_fixture, rand_matrix,
+                      rand_sparse_matrix)
 
 
 def endvee(name):
@@ -164,13 +166,44 @@ def test_rho_tilde_rejects_bad_comodule():
         rho_tilde(B, doc.category, doc.functor, bad)
 
 
-def test_alpha_tilde_comodule_over_itself():
+def comatrix_formula(n, field):
+    """Δ(e_i⊗e_j^∨) = Σ_k (e_i⊗e_k^∨)⊗(e_k⊗e_j^∨) and ε(e_i⊗e_j^∨) = δ_ij,
+    written out entry by entry: the comatrix coalgebra of K^n."""
+    dim = n * n
+    one = field.one()
+    delta = Matrix.zeros(field, dim * dim, dim)
+    eps = Matrix.zeros(field, 1, dim)
+    for i in range(n):
+        eps.data[0][i * n + i] = one
+        for j in range(n):
+            for k in range(n):
+                delta.data[(i * n + k) * dim + (k * n + j)][i * n + j] = one
+    return delta, eps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_bare_object_gives_comatrix_coalgebra_and_coefficient_map(field):
+    # on one object with no generators End^∨ is the comatrix coalgebra of
+    # F(V), and ρ̃ is the coefficient map (id_B⊗eval)∘(ρ⊗id) of the coaction
+    for n in range(5):
+        cat, F = bare_object(n, field)
+        C = endvee_coalgebra(natvee(cat, F, F))
+        assert (C.delta, C.eps) == comatrix_formula(n, field)
     doc = load_fixture("z2_function")
-    B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
-                      doc.coalgebra["eps"])
-    com = ComoduleData(B.dim, 2, B.delta)
-    alpha, report = alpha_tilde(com, B)
-    assert report.passed
+    delta, eps = (Matrix.from_strings(field, doc.coalgebra[k].to_strings())
+                  for k in ("delta", "eps"))
+    function_z2 = CoalgebraData(2, delta, eps)
+    one = Matrix.identity(field, 1)
+    for B in (function_z2, CoalgebraData(1, one, one)):
+        rho = B.delta                    # B as a comodule over itself
+        cat, F = bare_object(B.dim, field)
+        rt, report = rho_tilde(B, cat, F, {"V": ComoduleData(B.dim, B.dim, rho)})
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("rho_tilde_well_defined", True), ("rho_tilde_respects_delta", True),
+            ("rho_tilde_respects_eps", True)]
+        ident = Matrix.identity(field, B.dim)
+        assert rt == (kron(ident, standard_pairing(B.dim, field).eval)
+                      @ kron(rho, ident))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
@@ -183,14 +216,6 @@ def test_coefficient_map_matches_dense_product(rng, field):
                           standard_pairing(d, field).eval)
                      @ kron(rho, Matrix.identity(field, d)))
             assert _coefficient_map(com) == dense
-
-
-def test_alpha_tilde_trivial():
-    B = CoalgebraData(1, Matrix.from_ints(QQ, [[1]]), Matrix.from_ints(QQ, [[1]]))
-    com = ComoduleData(1, 1, Matrix.from_ints(QQ, [[1]]))
-    alpha, report = alpha_tilde(com, B)
-    assert report.passed
-    assert alpha == Matrix.from_ints(QQ, [[1]])
 
 
 def test_convolution_of_functionals_matches_composition():
@@ -307,10 +332,9 @@ def test_morphism_image_span_z2_regular():
     span = morphism_image_span(doc.category, doc.functor, "star", "star")
     assert len(span) == 2
     # the span is {a·id + b·swap}
-    from tannakit import SubspaceBasis
     flat = SubspaceBasis(QQ, 4, [[x for row in m.data for x in row] for m in span])
-    assert flat.contains([1, 0, 0, 1])
-    assert flat.contains([0, 1, 1, 0])
+    assert flat == SubspaceBasis(QQ, 4, Matrix.from_ints(QQ, [[1, 0, 0, 1],
+                                                              [0, 1, 1, 0]]).data)
 
 
 def test_fullness_witness_dimensions_agree():
