@@ -85,6 +85,15 @@ def test_coalgebra_axiom_violation_detected():
     assert not report.passed
 
 
+def test_comatrix_coalgebra_small():
+    # the comatrix coalgebra is End^∨ of one object with no generators
+    assert bare_endvee(1).checks().passed
+    C = bare_endvee(2)
+    assert C.dim == 4
+    assert C.checks().passed
+    assert bare_endvee(0).dim == 0
+
+
 def test_comodule_over_itself():
     C = function_coalgebra_z2()
     com = ComoduleData(2, 2, C.delta)

@@ -206,6 +206,17 @@ def test_bare_object_gives_comatrix_coalgebra_and_coefficient_map(field):
                       @ kron(rho, ident))
 
 
+def test_alpha_tilde_comodule_over_itself():
+    # α̃ of B as a comodule over itself is ρ̃ over one bare object
+    doc = load_fixture("z2_function")
+    B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
+                      doc.coalgebra["eps"])
+    cat, F = bare_object(B.dim)
+    com = ComoduleData(B.dim, B.dim, B.delta)
+    alpha, report = rho_tilde(B, cat, F, {"V": com})
+    assert report.passed
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
 def test_coefficient_map_matches_dense_product(rng, field):
     for bdim, d in [(2, 2), (3, 2), (2, 4), (4, 3)]:
