@@ -9,12 +9,14 @@ identity, which ``validate_functor`` decides.
 Optional strict-tensor data (a tensor table on objects, tensor action on
 generators by paths, comparison isomorphisms s and f) and duality data
 (right duals with unit/counit paths) are validated the same way: every
-coherence diagram becomes an exact matrix identity.
+coherence diagram becomes an exact matrix identity.  In s-naturality an
+identity partner id_C is the empty path at C, so one evaluator
+(``tensor_path_eval``) gives F(p⊗q) for every pair.
 """
 
 from .fields import field_from_config
 from .linalg import Matrix, kron, permute_cols, solve_matrix, swap_perm
-from .moncat import DualPairing
+from .moncat import DualPairing, snake_maps
 from .report import Check, Report, check_equal
 
 
@@ -185,20 +187,33 @@ class TensorData:
         return self.s[(c, d)]
 
     def gen_tensor_id(self, gname, obj) -> Path:
-        return self.on_generators[(gname, obj)][0]
+        return self._action(gname, obj)[0]
 
     def id_tensor_gen(self, gname, obj) -> Path:
-        return self.on_generators[(gname, obj)][1]
+        return self._action(gname, obj)[1]
+
+    def _action(self, gname, obj):
+        if (gname, obj) not in self.on_generators:
+            raise PresentationError("tensor action of %s on %s missing" % (gname, obj))
+        return self.on_generators[(gname, obj)]
 
 
-def tensor_generator_eval(cat, F, T: TensorData, g: Generator, h: Generator) -> Matrix:
-    """F(g⊗h) computed from the tensor action paths: (id_{g.dst}⊗h)∘(g⊗id_{h.src})."""
-    first = T.gen_tensor_id(g.name, h.src)
-    second = T.id_tensor_gen(h.name, g.dst)
-    if first.src != T.obj(g.src, h.src) or first.dst != T.obj(g.dst, h.src):
-        raise PresentationError("path for %s⊗id_%s has wrong endpoints" % (g.name, h.src))
-    if second.src != T.obj(g.dst, h.src) or second.dst != T.obj(g.dst, h.dst):
-        raise PresentationError("path for id_%s⊗%s has wrong endpoints" % (g.dst, h.name))
+def tensor_path_eval(cat, F, T: TensorData, p: Path, q: Path) -> Matrix:
+    """F(p⊗q) for paths of length at most one, as (id_{p.dst}⊗q)∘(p⊗id_{q.src}).
+
+    A generator factor is the tensor action path the presentation
+    declares; an identity factor is the empty path at the tensor object.
+    Both action paths are checked against the tensor table's endpoints.
+    """
+    mid = T.obj(p.dst, q.src)
+    first = (T.gen_tensor_id(p.gens[0], q.src) if p.gens
+             else cat.path((), at=mid))
+    second = (T.id_tensor_gen(q.gens[0], p.dst) if q.gens
+              else cat.path((), at=mid))
+    if (first.src, first.dst) != (T.obj(p.src, q.src), mid):
+        raise PresentationError("path for %r⊗id_%s has wrong endpoints" % (p, q.src))
+    if (second.src, second.dst) != (mid, T.obj(p.dst, q.dst)):
+        raise PresentationError("path for id_%s⊗%r has wrong endpoints" % (p.dst, q))
     return path_eval(cat, F, second) @ path_eval(cat, F, first)
 
 
@@ -209,10 +224,8 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
     objs = cat.objects
 
     for c in objs:
-        ok_l = T.obj(T.unit, c) == c
-        ok_r = T.obj(c, T.unit) == c
-        report.add(Check("tensor_table_unit:%s" % c, ok_l and ok_r,
-                         residue="0" if ok_l and ok_r else "table"))
+        report.add(Check("tensor_table_unit:%s" % c,
+                         T.obj(T.unit, c) == c == T.obj(c, T.unit), "table"))
     assoc_ok = True
     for a in objs:
         for b in objs:
@@ -231,14 +244,12 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
             good_shape = (s.domain_dim == F.dim(c) * F.dim(d)
                           and s.codomain_dim == F.dim(T.obj(c, d)))
             inv = solve_matrix(s, Matrix.identity(field, s.rows)) if good_shape else None
-            report.add(Check("s_invertible:%s,%s" % (c, d),
-                             good_shape and inv is not None,
-                             residue="0" if good_shape and inv is not None else "singular"))
+            report.add(Check("s_invertible:%s,%s" % (c, d), inv is not None,
+                             "singular"))
     f = T.f_unit
     finv = solve_matrix(f, Matrix.identity(field, f.rows)) \
         if f.domain_dim == 1 and f.codomain_dim == F.dim(T.unit) else None
-    report.add(Check("f_unit_invertible", finv is not None,
-                     residue="0" if finv is not None else "singular"))
+    report.add(Check("f_unit_invertible", finv is not None, "singular"))
     if not report.passed:
         return report
 
@@ -260,21 +271,19 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
                 rhs = T.s_map(a, T.obj(b, c)) @ kron(ida, T.s_map(b, c))
                 report.add(check_equal("assoc_diagram:%s,%s,%s" % (a, b, c), lhs, rhs))
 
-    # s-naturality on generator pairs, including identity partners
+    # s-naturality on generator pairs, identity partners as empty paths
     pairs = []
     for g in cat.generators:
+        gp = cat.path((g.name,))
         for obj in objs:
-            pairs.append((g, _Id(obj)))
-            pairs.append((_Id(obj), g))
+            pairs.append((gp, cat.path((), at=obj)))
+            pairs.append((cat.path((), at=obj), gp))
         for h in cat.generators:
-            pairs.append((g, h))
-    for g, h in pairs:
-        fg = _gen_or_id_matrix(cat, F, g)
-        fh = _gen_or_id_matrix(cat, F, h)
-        fgh = _tensor_eval_or_id(cat, F, T, g, h)
-        lhs = T.s_map(g.dst, h.dst) @ kron(fg, fh)
-        rhs = fgh @ T.s_map(g.src, h.src)
-        report.add(check_equal("s_naturality:%s,%s" % (g.name, h.name), lhs, rhs))
+            pairs.append((gp, cat.path((h.name,))))
+    for p, q in pairs:
+        lhs = T.s_map(p.dst, q.dst) @ kron(path_eval(cat, F, p), path_eval(cat, F, q))
+        rhs = tensor_path_eval(cat, F, T, p, q) @ T.s_map(p.src, q.src)
+        report.add(check_equal("s_naturality:%r,%r" % (p, q), lhs, rhs))
 
     # symmetry square, only when the presentation declares ψ paths
     for (c, d), psi_path in T.symmetry.items():
@@ -283,32 +292,6 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
         rhs = permute_cols(T.s_map(d, c), swap_perm(F.dim(c), F.dim(d)))
         report.add(check_equal("symmetry_diagram:%s,%s" % (c, d), lhs, rhs))
     return report
-
-
-class _Id:
-    """Stand-in for id_C in naturality pair enumeration."""
-
-    def __init__(self, obj):
-        self.name = "id_%s" % obj
-        self.src = obj
-        self.dst = obj
-        self.obj = obj
-
-
-def _gen_or_id_matrix(cat, F, g):
-    if isinstance(g, _Id):
-        return Matrix.identity(F.field, F.dim(g.obj))
-    return F.gen_matrix(g.name)
-
-
-def _tensor_eval_or_id(cat, F, T, g, h):
-    if isinstance(g, _Id) and isinstance(h, _Id):
-        return Matrix.identity(F.field, F.dim(T.obj(g.obj, h.obj)))
-    if isinstance(g, _Id):
-        return path_eval(cat, F, T.id_tensor_gen(h.name, g.obj))
-    if isinstance(h, _Id):
-        return path_eval(cat, F, T.gen_tensor_id(g.name, h.obj))
-    return tensor_generator_eval(cat, F, T, g, h)
 
 
 class DualityData:
@@ -355,32 +338,16 @@ def duality_pairing_vec(cat, F, T: TensorData, D: DualityData, obj):
     return eta_vec, eps_vec
 
 
-def duality_as_pairing(cat, F, T, D, obj) -> DualPairing:
-    """Package the evaluated duality at ``obj`` as a DualPairing.
-
-    The primal slot is F(C^∧) and the dual slot F(C): eval = eps_vec,
-    coeval = eta_vec, so the snake identities are exactly Def-style
-    triangles of the right duality.
-    """
-    eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, obj)
-    n = F.dim(obj)
-    if F.dim(D.dual(obj)) != n:
-        raise PresentationError("dual of %r has a different dimension" % obj)
-    return DualPairing(n, eps_vec, eta_vec)
-
-
-def dual_generator_map(cat, F, T, D, g: Generator) -> Matrix:
+def dual_generator_map(F, g: Generator, eta_x: Matrix, eps_y: Matrix) -> Matrix:
     """Image of a generator under the right-duality functor: F(Y^∧) → F(X^∧).
 
-    For g: X → Y this is (id⊗eps_Y)∘(id⊗F(g)⊗id)∘(eta_X⊗id).
+    For g: X → Y this is (id⊗eps_Y)∘(id⊗F(g)⊗id)∘(eta_X⊗id), from the
+    evaluated unit at X and counit at Y (``duality_pairing_vec``); a dual
+    F(C^∧) has the dimension of F(C).
     """
     field = F.field
-    eta_x, _ = duality_pairing_vec(cat, F, T, D, g.src)
-    _, eps_y = duality_pairing_vec(cat, F, T, D, g.dst)
-    fx_dual = F.dim(D.dual(g.src))
-    fy_dual = F.dim(D.dual(g.dst))
-    id_xd = Matrix.identity(field, fx_dual)
-    id_yd = Matrix.identity(field, fy_dual)
+    id_xd = Matrix.identity(field, F.dim(g.src))
+    id_yd = Matrix.identity(field, F.dim(g.dst))
     step1 = kron(eta_x, id_yd)                       # F(Y^∧) → F(X^∧)⊗F(X)⊗F(Y^∧)
     step2 = kron(kron(id_xd, F.gen_matrix(g.name)), id_yd)
     step3 = kron(id_xd, eps_y)                       # → F(X^∧)
@@ -388,31 +355,33 @@ def dual_generator_map(cat, F, T, D, g: Generator) -> Matrix:
 
 
 def validate_duality_data(cat, F, T, D: DualityData) -> Report:
-    """Triangle identities per object plus the duality square per generator."""
+    """Triangle identities per object plus the duality square per generator.
+
+    Each object's unit and counit are evaluated once.  As a pairing the
+    primal slot is F(C^∧) and the dual slot F(C) (eval = eps, coeval =
+    eta), so the triangles are the snake identities of ``moncat.snake_maps``.
+    """
     report = Report()
     field = F.field
+    pairs = {}
     for obj in cat.objects:
         if obj not in D.dual_of or obj not in D.eta or obj not in D.eps:
-            report.add(Check("duality_declared:%s" % obj, False,
-                             residue="missing"))
+            report.add(Check("duality_declared:%s" % obj, False, "missing"))
             continue
-        dual = D.dual(obj)
-        if F.dim(dual) != F.dim(obj):
-            report.add(Check("duality_dims:%s" % obj, False, residue="shape"))
+        if F.dim(D.dual(obj)) != F.dim(obj):
+            report.add(Check("duality_dims:%s" % obj, False, "shape"))
             continue
-        p = duality_as_pairing(cat, F, T, D, obj)
-        ident = Matrix.identity(field, p.space_dim)
-        tri1 = kron(ident, p.eval) @ kron(p.coeval, ident)
-        tri2 = kron(p.eval, ident) @ kron(ident, p.coeval)
-        report.add(check_equal("triangle_1:%s" % obj, tri1, ident))
-        report.add(check_equal("triangle_2:%s" % obj, tri2, ident))
+        eta_vec, eps_vec = pairs[obj] = duality_pairing_vec(cat, F, T, D, obj)
+        snake1, snake2 = snake_maps(DualPairing(F.dim(obj), eps_vec, eta_vec))
+        ident = Matrix.identity(field, F.dim(obj))
+        report.add(check_equal("triangle_1:%s" % obj, snake1, ident))
+        report.add(check_equal("triangle_2:%s" % obj, snake2, ident))
     if not report.passed:
         return report
     # ε is dinatural in the generator: eps_Y∘(F(g)⊗id) = eps_X∘(id⊗F(g)^∧)
     for g in cat.generators:
-        _, eps_x = duality_pairing_vec(cat, F, T, D, g.src)
-        _, eps_y = duality_pairing_vec(cat, F, T, D, g.dst)
-        gdual = dual_generator_map(cat, F, T, D, g)
+        (eta_x, eps_x), eps_y = pairs[g.src], pairs[g.dst][1]
+        gdual = dual_generator_map(F, g, eta_x, eps_y)
         id_x = Matrix.identity(field, F.dim(g.src))
         id_yd = Matrix.identity(field, F.dim(D.dual(g.dst)))
         lhs = eps_y @ kron(F.gen_matrix(g.name), id_yd)
@@ -438,17 +407,52 @@ class JobDocument:
         self.comodules = comodules
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _typed(value, kind, what):
+    """``value`` if it has the JSON type ``kind`` (a bool is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise PresentationError("%s must be %s, got %r"
+                                % (what, _JSON_TYPES[kind], value))
+    return value
+
+
+def _key(section: dict, key, what):
+    if key not in section:
+        raise PresentationError("%s has no %r" % (what, key))
+    return section[key]
+
+
+def _matrix(field, raw, what) -> Matrix:
+    rows = [_typed(row, list, what + " row") for row in _typed(raw, list, what)]
+    if len({len(row) for row in rows}) > 1:
+        raise PresentationError("%s has rows of different lengths" % what)
+    return Matrix.from_strings(field, rows)
+
+
+def _object_pair(key: str, what):
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise PresentationError("%s key %r is not 'C,D'" % (what, key))
+    return parts[0].strip(), parts[1].strip()
+
+
 def _decode_path(cat: PresentedCategory, raw) -> Path:
     if isinstance(raw, dict):
-        return cat.path(raw.get("gens", ()), at=raw.get("at"))
+        gens = _typed(raw.get("gens", []), list, "path gens")
+        return cat.path([_typed(g, str, "generator name") for g in gens],
+                        at=raw.get("at"))
     if isinstance(raw, list):
         if not raw:
             raise PresentationError('empty path must be {"at": object}')
-        return cat.path(raw)
+        return cat.path([_typed(g, str, "generator name") for g in raw])
     raise PresentationError("cannot decode path %r" % (raw,))
 
 
 def _decode_relation(cat, raw):
+    if len(_typed(raw, list, "relation")) != 2:
+        raise PresentationError("relation %r does not have two sides" % (raw,))
     lhs, rhs = raw
     left = _decode_path(cat, lhs) if not _is_bare_empty(lhs) else None
     right = _decode_path(cat, rhs) if not _is_bare_empty(rhs) else None
@@ -466,71 +470,92 @@ def _is_bare_empty(raw):
 
 
 def load_document(doc: dict) -> JobDocument:
-    """Decode the shared JSON document schema into validated objects."""
+    """Decode the shared JSON document schema into validated objects.
+
+    A section or value of the wrong JSON type, a missing required key,
+    ragged matrix rows, a non-integer dimension, or a tensor unit, tensor
+    table entry or ``dual_of`` value that is not an object raises
+    ``PresentationError``; a malformed field or scalar raises ``FieldError``.
+    """
     field = field_from_config(doc.get("field", "Q"))
-    cat = PresentedCategory(
-        doc.get("objects", []),
-        [Generator(g["name"], g["src"], g["dst"]) for g in doc.get("generators", [])],
-    )
-    cat.relations = [_decode_relation(cat, r) for r in doc.get("relations", [])]
+    objects = [_typed(o, str, "object")
+               for o in _typed(doc.get("objects", []), list, "objects")]
+    generators = []
+    for g in _typed(doc.get("generators", []), list, "generators"):
+        g = _typed(g, dict, "generator")
+        generators.append(Generator(
+            _typed(_key(g, "name", "generator"), str, "generator name"),
+            _key(g, "src", "generator"), _key(g, "dst", "generator")))
+    cat = PresentedCategory(objects, generators)
+    cat.relations = [_decode_relation(cat, r)
+                     for r in _typed(doc.get("relations", []), list, "relations")]
 
     fun = doc.get("functor")
     functor = None
     if fun is not None:
-        on_objects = {k: int(v) for k, v in fun.get("on_objects", {}).items()}
-        on_generators = {name: Matrix.from_strings(field, m)
-                         for name, m in fun.get("on_generators", {}).items()}
+        fun = _typed(fun, dict, "functor")
+        on_objects = {k: _typed(v, int, "dimension of %r" % k) for k, v
+                      in _typed(fun.get("on_objects", {}), dict, "on_objects").items()}
+        on_generators = {name: _matrix(field, m, "matrix of %r" % name) for name, m
+                         in _typed(fun.get("on_generators", {}), dict,
+                                   "on_generators").items()}
         functor = FiberFunctor(field, on_objects, on_generators)
 
     tensor = None
     if "tensor" in doc:
-        t = doc["tensor"]
+        t = _typed(doc["tensor"], dict, "tensor")
+        unit = _key(t, "unit", "tensor")
+        if unit not in objects:
+            raise PresentationError("tensor unit %r is not an object" % (unit,))
         table = {}
-        for entry in t.get("on_objects", []):
+        for entry in _typed(t.get("on_objects", []), list, "tensor on_objects"):
+            if len(_typed(entry, list, "tensor table entry")) != 3 \
+                    or any(x not in objects for x in entry):
+                raise PresentationError("tensor table entry %r is not three objects"
+                                        % (entry,))
             a, b, c = entry
             table[(a, b)] = c
-        smaps = {}
-        for key, m in t.get("s", {}).items():
-            a, b = key.split(",")
-            smaps[(a.strip(), b.strip())] = Matrix.from_strings(field, m)
+        smaps = {_object_pair(key, "s"): _matrix(field, m, "s at %s" % key)
+                 for key, m in _typed(t.get("s", {}), dict, "tensor s").items()}
         on_gens = {}
-        for entry in t.get("on_generators", []):
-            key = (entry["gen"], entry["object"])
-            on_gens[key] = (_decode_path(cat, entry["gen_tensor_id"]),
-                            _decode_path(cat, entry["id_tensor_gen"]))
-        symmetry = {}
-        for key, p in t.get("symmetry", {}).items():
-            a, b = key.split(",")
-            symmetry[(a.strip(), b.strip())] = _decode_path(cat, p)
-        tensor = TensorData(t["unit"], table, smaps,
-                            Matrix.from_strings(field, t["f_unit"]),
+        for entry in _typed(t.get("on_generators", []), list, "tensor on_generators"):
+            entry = _typed(entry, dict, "tensor action")
+            key = tuple(_typed(_key(entry, k, "tensor action"), str, "tensor action " + k)
+                        for k in ("gen", "object"))
+            on_gens[key] = tuple(_decode_path(cat, _key(entry, k, "tensor action"))
+                                 for k in ("gen_tensor_id", "id_tensor_gen"))
+        symmetry = {_object_pair(key, "symmetry"): _decode_path(cat, p) for key, p
+                    in _typed(t.get("symmetry", {}), dict, "tensor symmetry").items()}
+        tensor = TensorData(unit, table, smaps,
+                            _matrix(field, _key(t, "f_unit", "tensor"), "f_unit"),
                             on_generators=on_gens, symmetry=symmetry)
 
     duality = None
     if "duality" in doc:
-        d = doc["duality"]
-        duality = DualityData(
-            d["dual_of"],
-            {k: _decode_path(cat, v) for k, v in d.get("eta", {}).items()},
-            {k: _decode_path(cat, v) for k, v in d.get("eps", {}).items()},
-        )
+        d = _typed(doc["duality"], dict, "duality")
+        dual_of = _typed(_key(d, "dual_of", "duality"), dict, "dual_of")
+        for obj, dual in dual_of.items():
+            if dual not in objects:
+                raise PresentationError("dual_of %r is %r, not an object" % (obj, dual))
+        eta, eps = ({k: _decode_path(cat, v) for k, v
+                     in _typed(d.get(key, {}), dict, key).items()}
+                    for key in ("eta", "eps"))
+        duality = DualityData(dual_of, eta, eps)
 
     coalgebra = None
     if "coalgebra" in doc:
-        c = doc["coalgebra"]
-        coalgebra = {
-            "dim": int(c["dim"]),
-            "delta": Matrix.from_strings(field, c["delta"]),
-            "eps": Matrix.from_strings(field, c["eps"]),
-        }
+        c = _typed(doc["coalgebra"], dict, "coalgebra")
+        coalgebra = {"dim": _typed(_key(c, "dim", "coalgebra"), int, "coalgebra dim"),
+                     "delta": _matrix(field, _key(c, "delta", "coalgebra"), "delta"),
+                     "eps": _matrix(field, _key(c, "eps", "coalgebra"), "eps")}
         for extra in ("m", "u", "antipode"):
             if extra in c:
-                coalgebra[extra] = Matrix.from_strings(field, c[extra])
+                coalgebra[extra] = _matrix(field, c[extra], extra)
 
     comodules = None
     if "comodules" in doc:
-        comodules = {obj: Matrix.from_strings(field, m)
-                     for obj, m in doc["comodules"].items()}
+        comodules = {obj: _matrix(field, m, "comodule at %r" % obj) for obj, m
+                     in _typed(doc["comodules"], dict, "comodules").items()}
 
     return JobDocument(field, cat, functor, tensor=tensor, duality=duality,
                        coalgebra=coalgebra, comodules=comodules)

@@ -11,15 +11,15 @@ import json
 import sys
 from importlib import resources
 
-from .catpres import load_document, validate_duality_data, validate_functor, \
-    validate_tensor_data
+from .catpres import (PresentationError, load_document, validate_duality_data,
+                      validate_functor, validate_tensor_data)
 from .coend import nat_space, natvee, pairing_bijection_report
 from .fields import FieldError
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
 from .linalg import rank
 from .moncat import ExprError, coherence_equal, eval_in_vec, parse_expr
-from .report import Check, Report
+from .report import Check, Report, VerificationError
 from .tannaka import (endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       lift_functor, rho_tilde)
 
@@ -175,13 +175,26 @@ def cmd_rho_tilde(args):
         return _emit({}, report, args.json)
     if not report.passed:
         return _emit({}, report, args.json)
-    B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
-                      doc.coalgebra["eps"])
+    c = doc.coalgebra
+    try:
+        B = CoalgebraData(c["dim"], c["delta"], c["eps"])
+        coactions = {obj: ComoduleData(B.dim, doc.functor.dim(obj), doc.comodules[obj])
+                     for obj in doc.category.objects}
+    except (KeyError, ValueError) as exc:
+        residue = "missing" if isinstance(exc, KeyError) else "shape"
+        report.add(Check("rho_tilde_inputs", False, residue))
+        return _emit({}, report, args.json)
     report.extend(B.checks())
-    coactions = {obj: ComoduleData(B.dim, doc.functor.dim(obj), rho)
-                 for obj, rho in doc.comodules.items()}
+    if not report.passed:
+        return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
-    rt, rep = rho_tilde(B, doc.category, doc.functor, coactions, P=P)
+    try:
+        rt, rep = rho_tilde(B, doc.category, doc.functor, coactions, P=P)
+    except VerificationError as exc:
+        if exc.report is None:
+            raise
+        report.extend(exc.report)
+        return _emit({}, report, args.json)
     report.extend(rep)
     r = rank(rt)
     payload = {"endvee_dim": P.quotient_dim, "coalgebra_dim": B.dim,
@@ -200,9 +213,8 @@ def cmd_nat(args):
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
     N = nat_space(doc.category, doc.functor, doc.functor)
-    ok = P.quotient_dim == N.dim
-    report.add(Check("predual_dimension_identity", ok,
-                     residue="0" if ok else "%d vs %d" % (P.quotient_dim, N.dim)))
+    report.add(Check("predual_dimension_identity", P.quotient_dim == N.dim,
+                     "%d vs %d" % (P.quotient_dim, N.dim)))
     report.extend(pairing_bijection_report(P, N))
     payload = {"coend_dim": P.quotient_dim, "nat_dim": N.dim}
     return _emit(payload, report, args.json)
@@ -234,8 +246,7 @@ def cmd_coherence(args):
         report.add(Check("boundary_words_match", False, residue="mismatch"))
         return _emit({}, report, args.json)
     equal = coherence_equal(e1, e2)
-    report.add(Check("expressions_equal", equal,
-                     residue="0" if equal else "distinct permutations"))
+    report.add(Check("expressions_equal", equal, "distinct permutations"))
     payload = {"expr1": args.expr1.strip(), "expr2": args.expr2.strip(),
                "equal": equal}
     if dims is not None:
@@ -244,9 +255,8 @@ def cmd_coherence(args):
             m2 = eval_in_vec(e2, dims)
         except ExprError as exc:
             raise SystemExit("--dims: %s" % exc)
-        agree = (m1 == m2) == equal
-        report.add(Check("matrix_evaluation_agrees", agree,
-                         residue="0" if agree else "semantic disagreement"))
+        report.add(Check("matrix_evaluation_agrees", (m1 == m2) == equal,
+                         "semantic disagreement"))
         payload["dims"] = dims
     return _emit(payload, report, args.json)
 
@@ -255,6 +265,8 @@ def cmd_characters(args):
     doc = _read_document(args)
     report = Report()
     report.extend(validate_functor(doc.category, doc.functor))
+    if not report.passed:
+        return _emit({}, report, args.json)
     if doc.tensor is None:
         report.add(Check("characters_need_tensor", False, residue="missing"))
         return _emit({}, report, args.json)
@@ -319,7 +331,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PresentationError as exc:
+        raise SystemExit("document: %s" % exc)
 
 
 if __name__ == "__main__":

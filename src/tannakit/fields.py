@@ -71,6 +71,15 @@ class Field:
         return a == self.zero()
 
     def parse(self, text: str):
+        """Decode a scalar string; any malformed scalar raises FieldError."""
+        if not isinstance(text, str):
+            raise FieldError("scalar %r is not a string" % (text,))
+        try:
+            return self._parse(text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise FieldError("malformed scalar %r over %s" % (text, self.name)) from None
+
+    def _parse(self, text: str):
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -116,8 +125,7 @@ class RationalField(Field):
             raise FieldError("division by zero")
         return 1 / a
 
-    def parse(self, text):
-        text = text.strip()
+    def _parse(self, text):
         if "/" in text:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
@@ -181,8 +189,7 @@ class PrimeField(Field):
             raise FieldError("division by zero in F%d" % self.p)
         return pow(a, self.p - 2, self.p)
 
-    def parse(self, text):
-        text = text.strip()
+    def _parse(self, text):
         if "mod" in text:
             r, m = text.split("mod")
             if int(m) != self.p:
@@ -221,5 +228,8 @@ def field_from_config(cfg) -> Field:
     if cfg == "Q":
         return QQ
     if isinstance(cfg, dict) and set(cfg) == {"Fp"}:
-        return GF(int(cfg["Fp"]))
+        p = cfg["Fp"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise FieldError("Fp modulus must be an integer, got %r" % (p,))
+        return GF(p)
     raise FieldError("unrecognized field config: %r" % (cfg,))

@@ -8,8 +8,10 @@ composes the expression's permutation of tensor basis vectors as an index
 tuple and materializes one matrix per expression, after bounding the word
 dimension by ``MAX_WORD_DIM``.
 
-Also houses dual pairings (evaluation/coevaluation with the snake
-identities) and the dual of a linear map computed through pairings.
+Also houses dual pairings (evaluation/coevaluation), whose two snake
+composites are written once in ``snake_maps`` for both ``check_triangles``
+and the triangle checks of ``catpres.validate_duality_data``, and the
+dual of a linear map computed through pairings.
 
 Canonical text form: words are comma-separated atom names in brackets,
 expressions are ``id[a,b]``, ``swap[a,b;0]``, ``(e1 ; e2)`` for
@@ -33,12 +35,6 @@ class SymExpr:
 
     domain: Word
     codomain: Word
-
-    def __rshift__(self, other):
-        return Compose(self, other)
-
-    def __mul__(self, other):
-        return Tensor(self, other)
 
     def __eq__(self, other):
         return isinstance(other, SymExpr) and format_expr(self) == format_expr(other)
@@ -217,14 +213,18 @@ def standard_pairing(dim: int, field=QQ) -> DualPairing:
     return DualPairing(dim, ev, co)
 
 
+def snake_maps(p: DualPairing):
+    """The two snake composites (id⊗eval)∘(coeval⊗id) and
+    (eval⊗id)∘(id⊗coeval); a valid pairing makes both the identity."""
+    ident = Matrix.identity(p.field, p.space_dim)
+    return (kron(ident, p.eval) @ kron(p.coeval, ident),
+            kron(p.eval, ident) @ kron(ident, p.coeval))
+
+
 def check_triangles(p: DualPairing) -> bool:
     """Both snake identities as exact matrix identities."""
-    field = p.field
-    n = p.space_dim
-    ident = Matrix.identity(field, n)
-    snake1 = kron(ident, p.eval) @ kron(p.coeval, ident)
-    snake2 = kron(p.eval, ident) @ kron(ident, p.coeval)
-    return snake1 == ident and snake2 == ident
+    ident = Matrix.identity(p.field, p.space_dim)
+    return snake_maps(p) == (ident, ident)
 
 
 def dual_map(f: Matrix, p_dom: DualPairing, p_cod: DualPairing) -> Matrix:

@@ -1,8 +1,10 @@
 """Pass/fail reports shared by all verification surfaces.
 
-Every axiom check records a name, a boolean, and the max-norm of the
-violating difference matrix — exactly "0" under exact arithmetic when the
-check passes, a nonzero scalar string otherwise.
+Every axiom check records a name, a boolean, and a residue: the max-norm
+of the violating difference matrix, or a short word naming the failure.
+``Check`` enforces the convention: it stores "0" exactly when the check
+passes, so a caller passes only the residue of a failure, and a failing
+check without a nonzero residue is refused.
 """
 
 from .linalg import Matrix
@@ -11,10 +13,12 @@ from .linalg import Matrix
 class Check:
     __slots__ = ("name", "passed", "residue", "detail")
 
-    def __init__(self, name, passed, residue="0", detail=None):
+    def __init__(self, name, passed, residue=None, detail=None):
         self.name = name
         self.passed = bool(passed)
-        self.residue = residue
+        if not self.passed and residue in (None, "0"):
+            raise ValueError("failing check %r needs a nonzero residue" % name)
+        self.residue = "0" if self.passed else residue
         self.detail = detail
 
     def to_json(self):
@@ -52,8 +56,10 @@ class Report:
     def require(self, context=""):
         if not self.passed:
             names = ", ".join(c.name for c in self.failures())
-            raise VerificationError("%sfailed checks: %s"
-                                    % (context + ": " if context else "", names))
+            error = VerificationError("%sfailed checks: %s"
+                                      % (context + ": " if context else "", names))
+            error.report = self
+            raise error
         return self
 
     def __repr__(self):
@@ -63,7 +69,12 @@ class Report:
 
 
 class VerificationError(Exception):
-    """An exact identity that the construction promises did not hold."""
+    """An exact identity that the construction promises did not hold.
+
+    Raised by ``Report.require`` with the failing report as ``report``.
+    """
+
+    report = None
 
 
 def max_norm(diff: Matrix) -> str:
@@ -78,12 +89,11 @@ def max_norm(diff: Matrix) -> str:
     return field.format(worst)
 
 
-def check_equal(name: str, lhs: Matrix, rhs: Matrix, detail=None) -> Check:
+def check_equal(name: str, lhs: Matrix, rhs: Matrix) -> Check:
     """Exact matrix identity check; residue is the max-norm of lhs − rhs."""
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
-        return Check(name, False, residue="shape",
+        return Check(name, False, "shape",
                      detail={"lhs_shape": [lhs.rows, lhs.cols],
                              "rhs_shape": [rhs.rows, rhs.cols]})
     diff = lhs - rhs
-    ok = diff.is_zero()
-    return Check(name, ok, residue=max_norm(diff), detail=detail if not ok else None)
+    return Check(name, diff.is_zero(), max_norm(diff))

@@ -15,16 +15,23 @@ ambient space and descends through ``CoendPresentation.push_to_quotient``,
 which checks that it kills the relation span; a failure raises instead of
 silently producing wrong structure constants.  The unit lands in the
 quotient through λ_I and needs no descent.
+
+A family of coactions is stated a comodule family once, by
+``comodule_report``: ``lift_functor`` returns it and ``rho_tilde``
+requires it.  Comodule maps are natural transformations, since block b
+of ρ₂∘f = (id⊗f)∘ρ₁ is ρ₂_b∘f = f∘ρ₁_b, so ``comodule_morphism_space``
+is ``coend.nat_space`` on one object with one generator per basis
+vector of the coalgebra.
 """
 
-from .catpres import duality_pairing_vec
+from .catpres import (FiberFunctor, Generator, PresentedCategory,
+                      duality_pairing_vec)
 from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
-                    natvee)
+                    nat_space, natvee)
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
-                   HopfData, check_comodule, check_comodule_morphism,
-                   convolve_functionals)
-from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, kron_apply,
-                     kron_perm, permute_cols, solve_matrix, swap_perm)
+                   HopfData, check_comodule_morphism, convolve_functionals)
+from .linalg import (Matrix, SubspaceBasis, kron, kron_apply, kron_perm,
+                     permute_cols, solve_matrix, swap_perm)
 from .report import Check, Report, VerificationError, check_equal
 
 
@@ -101,30 +108,33 @@ def endvee_antipode(cat, F, T, D, P: CoendPresentation,
     return hopf
 
 
+def comodule_report(cat, F, coactions, B: CoalgebraData) -> Report:
+    """Each coaction is a comodule over B, and each generator image a
+    comodule map: the comodule laws per object (named ``law:object``) and
+    the comodule-morphism square per generator."""
+    report = Report()
+    for obj in cat.objects:
+        for check in coactions[obj].checks(B).checks:
+            report.add(Check("%s:%s" % (check.name, obj), check.passed,
+                             check.residue))
+    for g in cat.generators:
+        ok = check_comodule_morphism(F.gen_matrix(g.name), coactions[g.src],
+                                     coactions[g.dst], B)
+        report.add(Check("comodule_morphism:%s" % g.name, ok, "square fails"))
+    return report
+
+
 def lift_functor(cat, F, P: CoendPresentation):
     """Comodule structure on every F(C) via the coevaluation, with checks.
 
-    Returns (coactions, report): one ComoduleData per object, plus the
-    comodule laws per object and the comodule-morphism square per
-    generator.  Violations never happen for a valid presentation; a
-    failing entry localizes an engine bug.
+    Returns (coactions, report): one ComoduleData per object, and the
+    ``comodule_report`` of the family.  Violations never happen for a
+    valid presentation; a failing entry localizes an engine bug.
     """
     coalg = endvee_coalgebra(P)
-    coactions = {}
-    report = Report()
-    for obj, fd, _ in P.object_index:
-        rho = coevaluation(P, obj)
-        com = ComoduleData(P.quotient_dim, fd, rho)
-        coactions[obj] = com
-        for check in com.checks(coalg).checks:
-            report.add(Check("%s:%s" % (check.name, obj), check.passed,
-                             residue=check.residue))
-    for g in cat.generators:
-        ok = check_comodule_morphism(F.gen_matrix(g.name),
-                                     coactions[g.src], coactions[g.dst], coalg)
-        report.add(Check("comodule_morphism:%s" % g.name, ok,
-                         residue="0" if ok else "square fails"))
-    return coactions, report
+    coactions = {obj: ComoduleData(P.quotient_dim, fd, coevaluation(P, obj))
+                 for obj, fd, _ in P.object_index}
+    return coactions, comodule_report(cat, F, coactions, coalg)
 
 
 def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
@@ -132,8 +142,9 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
 
     ``coactions`` maps each object to its ComoduleData over B; every
     coaction must satisfy the comodule laws and every generator image
-    must be a comodule morphism (checked, not assumed).  Blocks:
-    ρ̃∘λ_V = (id_B ⊗ eval_V)∘(ρ_V ⊗ id_{V^∨}).
+    must be a comodule morphism (checked, not assumed: a failing
+    ``comodule_report`` raises ``VerificationError`` carrying it).
+    Blocks: ρ̃∘λ_V = (id_B ⊗ eval_V)∘(ρ_V ⊗ id_{V^∨}).
 
     Those premises are exactly what makes the ambient map kill every
     relation, so it always descends; a failure to descend raises
@@ -142,16 +153,9 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
     identities.
     """
     for obj in cat.objects:
-        com = coactions[obj]
-        if not check_comodule(com, B):
-            raise VerificationError("coaction at %r is not a comodule" % obj)
-        if com.space_dim != F.dim(obj):
+        if coactions[obj].space_dim != F.dim(obj):
             raise VerificationError("coaction at %r has wrong dimension" % obj)
-    for g in cat.generators:
-        if not check_comodule_morphism(F.gen_matrix(g.name), coactions[g.src],
-                                       coactions[g.dst], B):
-            raise VerificationError("generator %r is not a comodule morphism"
-                                    % g.name)
+    comodule_report(cat, F, coactions, B).require("rho_tilde")
     if P is None:
         P = natvee(cat, F, F)
     blocks = {obj: _coefficient_map(coactions[obj])
@@ -159,7 +163,7 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
     ambient_map = P.assemble_on_blocks(blocks, B.dim)
     rt = P.push_to_quotient(ambient_map, "rho_tilde")
     report = Report()
-    report.add(Check("rho_tilde_well_defined", True, residue="0"))
+    report.add(Check("rho_tilde_well_defined", True))
     endv = endvee_coalgebra(P)
     report.add(check_equal("rho_tilde_respects_delta",
                            B.delta @ rt, kron_apply(rt, rt, endv.delta)))
@@ -214,34 +218,26 @@ def intertwines_all(f: Matrix, com1: ComoduleData, com2: ComoduleData,
 
 
 def comodule_morphism_space(com1: ComoduleData, com2: ComoduleData):
-    """Basis of { f : ρ₂∘f = (id⊗f)∘ρ₁ }, found by exact linear solve."""
+    """Basis of { f : ρ₂∘f = (id⊗f)∘ρ₁ }, in RREF of f's entries.
+
+    Block b of the law is ρ₂_b∘f = f∘ρ₁_b, with ρ_b the b-th block row of
+    ρ, so the comodule maps are the natural transformations between two
+    functors on one object with a generator per basis vector of B, sent
+    to ρ₁_b and ρ₂_b.
+    """
     if com1.coalgebra_dim != com2.coalgebra_dim:
         raise ValueError("comodules over different coalgebras")
-    field = com1.field
-    bd = com1.coalgebra_dim
-    d1, d2 = com1.space_dim, com2.space_dim
-    rows = []
-    # unknowns: entries of f (d2 x d1), row-major
-    for b in range(bd):
-        for r in range(d2):
-            for c in range(d1):
-                row = [field.zero()] * (d2 * d1)
-                # (ρ₂ f)[b·d2+r, c] = Σ_k ρ₂[b·d2+r, k] f[k, c]
-                for k in range(d2):
-                    pos = k * d1 + c
-                    row[pos] = field.add(row[pos], com2.rho.data[b * d2 + r][k])
-                # −((id⊗f) ρ₁)[b·d2+r, c] = −Σ_k f[r, k] ρ₁[b·d1+k, c]
-                for k in range(d1):
-                    pos = r * d1 + k
-                    row[pos] = field.sub(row[pos], com1.rho.data[b * d1 + k][c])
-                rows.append(row)
-    system = Matrix(field, rows, cols=d2 * d1)
-    ker = kernel_basis(system)
-    out = []
-    for vec in ker.vectors:
-        out.append(Matrix(field, [vec[r * d1:(r + 1) * d1] for r in range(d2)],
-                          cols=d1))
-    return out
+    blocks = range(com1.coalgebra_dim)
+    cat = PresentedCategory(["*"], [Generator(str(b), "*", "*") for b in blocks])
+
+    def block_rows(com):
+        d = com.space_dim
+        return FiberFunctor(com.field, {"*": d},
+                            {str(b): Matrix(com.field, com.rho.data[b * d:(b + 1) * d],
+                                            cols=d) for b in blocks})
+
+    return [family["*"] for family
+            in nat_space(cat, block_rows(com1), block_rows(com2)).basis]
 
 
 def morphism_image_span(cat, F, src, dst):

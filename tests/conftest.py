@@ -133,6 +133,35 @@ def column_solve_matrix(a, b):
     return out
 
 
+def dense_comodule_maps(com1, com2):
+    """Basis of { f : ρ₂∘f = (id⊗f)∘ρ₁ } from one dense system in the
+    entries of f (row-major), one equation per entry of the law.
+
+    The reference that ``tannaka.comodule_morphism_space`` is checked
+    against; returns the kernel basis as d2×d1 matrices.
+    """
+    field = com1.field
+    bd = com1.coalgebra_dim
+    d1, d2 = com1.space_dim, com2.space_dim
+    rows = []
+    for b in range(bd):
+        for r in range(d2):
+            for c in range(d1):
+                row = [field.zero()] * (d2 * d1)
+                # (ρ₂ f)[b·d2+r, c] = Σ_k ρ₂[b·d2+r, k] f[k, c]
+                for k in range(d2):
+                    pos = k * d1 + c
+                    row[pos] = field.add(row[pos], com2.rho.data[b * d2 + r][k])
+                # −((id⊗f) ρ₁)[b·d2+r, c] = −Σ_k f[r, k] ρ₁[b·d1+k, c]
+                for k in range(d1):
+                    pos = r * d1 + k
+                    row[pos] = field.sub(row[pos], com1.rho.data[b * d1 + k][c])
+                rows.append(row)
+    kernel, _ = dense_kernel(Matrix(field, rows, cols=d2 * d1))
+    return [Matrix(field, [vec[r * d1:(r + 1) * d1] for r in range(d2)], cols=d1)
+            for vec in kernel]
+
+
 def cyclic_document(n, p=None, perm=None, diag=None):
     """Z/n acting on K^n by g = M C M^{-1}, over Q or (``p``) F_p.
 

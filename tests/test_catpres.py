@@ -3,10 +3,11 @@ import pytest
 from tannakit import (FiberFunctor, Generator, Matrix, PresentedCategory, QQ,
                       check_triangles, dual_map, kron, standard_pairing)
 from tannakit.catpres import (PresentationError, dual_generator_map,
-                              duality_as_pairing, duality_pairing_vec,
-                              path_eval, validate_duality_data,
-                              validate_functor, validate_tensor_data)
+                              duality_pairing_vec, path_eval,
+                              validate_duality_data, validate_functor,
+                              validate_tensor_data)
 from tannakit.linalg import solve_matrix
+from tannakit.moncat import DualPairing
 from tannakit.report import check_equal
 
 from conftest import dense_swap, load_fixture, rand_matrix
@@ -255,11 +256,18 @@ def test_trivial_duality_valid():
                                  doc.duality).passed
 
 
+def induced_pairing(cat, F, T, D, obj):
+    """The evaluated duality at ``obj`` as a pairing: the primal slot is
+    F(C^∧) and the dual slot F(C), so eval = eps_vec and coeval = eta_vec."""
+    eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, obj)
+    return DualPairing(F.dim(obj), eps_vec, eta_vec)
+
+
 def test_induced_pairing_passes_moncat_triangles():
     doc = load_fixture("z2_character")
     for obj in doc.category.objects:
-        p = duality_as_pairing(doc.category, doc.functor, doc.tensor,
-                               doc.duality, obj)
+        p = induced_pairing(doc.category, doc.functor, doc.tensor,
+                            doc.duality, obj)
         assert check_triangles(p)
 
 
@@ -318,14 +326,14 @@ def test_duality_pairing_vec_shapes():
     eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, "a")
     assert eta_vec.rows == 4 and eta_vec.cols == 1
     assert eps_vec.rows == 1 and eps_vec.cols == 4
-    p = duality_as_pairing(cat, F, T, D, "a")
+    p = induced_pairing(cat, F, T, D, "a")
     assert check_triangles(p)
 
 
 def test_nonstandard_pairing_triangles():
     form = Matrix.from_ints(QQ, [[1, 2], [1, 3]])   # invertible, not diagonal
     cat, F, T, D = nontrivial_duality_setup(pairing_form=form)
-    p = duality_as_pairing(cat, F, T, D, "a")
+    p = induced_pairing(cat, F, T, D, "a")
     assert check_triangles(p)
 
 
@@ -336,11 +344,11 @@ def test_counit_dinaturality_square_on_generator(rng):
     form = Matrix.from_ints(QQ, [[2, 1], [1, 1]])
     t_mat = rand_matrix(rng, QQ, 2, 2)
     cat, F, T, D = nontrivial_duality_setup(pairing_form=form, extra_gen=t_mat)
-    _, eps_vec = duality_pairing_vec(cat, F, T, D, "a")
-    gdual = dual_generator_map(cat, F, T, D, cat.generator("t"))
+    eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, "a")
+    gdual = dual_generator_map(F, cat.generator("t"), eta_vec, eps_vec)
     ident = Matrix.identity(QQ, 2)
     assert eps_vec @ kron(t_mat, ident) == eps_vec @ kron(ident, gdual)
-    p = duality_as_pairing(cat, F, T, D, "a")
+    p = induced_pairing(cat, F, T, D, "a")
     assert check_triangles(p)
 
 
@@ -358,9 +366,74 @@ def test_dual_generator_matches_transpose_through_identification(rng):
     form = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
     t_mat = rand_matrix(rng, QQ, 2, 2)
     cat, F, T, D = nontrivial_duality_setup(pairing_form=form, extra_gen=t_mat)
-    eta_vec, _ = duality_pairing_vec(cat, F, T, D, "a")
+    eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, "a")
     iota_p = Matrix(QQ, [[eta_vec.data[a * 2 + j][0] for j in range(2)]
                          for a in range(2)])
-    gdual = dual_generator_map(cat, F, T, D, cat.generator("t"))
+    gdual = dual_generator_map(F, cat.generator("t"), eta_vec, eps_vec)
     std = standard_pairing(2)
     assert gdual @ iota_p == iota_p @ dual_map(t_mat, std, std)
+
+
+def z2_graded_setup(scalar=2):
+    """Objects I and x with x⊗x = I (a Z/2 grading), all of dimension 1,
+    and generators t: x → x and u: I → I, both sent to ``scalar``.
+
+    Every s and f is the identity, t⊗id_I = id_I⊗t = t, and the other
+    tensor actions of t and u are u or t; each object is its own dual
+    with unit and counit the empty path at I.
+    """
+    from tannakit.catpres import DualityData, TensorData
+    cat = PresentedCategory(["I", "x"], [Generator("t", "x", "x"),
+                                         Generator("u", "I", "I")])
+    table = {("I", "I"): "I", ("I", "x"): "x", ("x", "I"): "x", ("x", "x"): "I"}
+    c = Matrix.from_ints(QQ, [[scalar]])
+    F = FiberFunctor(QQ, {"I": 1, "x": 1}, {"t": c, "u": c})
+    one = Matrix.identity(QQ, 1)
+    actions = {}
+    for g, obj in [("t", "x"), ("t", "I"), ("u", "x"), ("u", "I")]:
+        path = cat.path([{("t", "x"): "u", ("u", "x"): "t"}.get((g, obj), g)])
+        actions[(g, obj)] = (path, path)
+    T = TensorData("I", table, {pair: one for pair in table}, one,
+                   on_generators=actions)
+    at_unit = cat.path((), at="I")
+    D = DualityData({"I": "I", "x": "x"}, {"I": at_unit, "x": at_unit},
+                    {"I": at_unit, "x": at_unit})
+    return cat, F, T, D
+
+
+def test_s_naturality_names_identity_partners_as_empty_paths():
+    cat, F, T, _ = z2_graded_setup()
+    report = validate_tensor_data(cat, F, T)
+    assert report.passed
+    names = [c.name for c in report.checks if c.name.startswith("s_naturality")]
+    assert names == ["s_naturality:t,id_I", "s_naturality:id_I,t",
+                     "s_naturality:t,id_x", "s_naturality:id_x,t",
+                     "s_naturality:t,t", "s_naturality:t,u",
+                     "s_naturality:u,id_I", "s_naturality:id_I,u",
+                     "s_naturality:u,id_x", "s_naturality:id_x,u",
+                     "s_naturality:u,t", "s_naturality:u,u"]
+
+
+def test_s_naturality_rejects_action_path_with_wrong_endpoints():
+    cat, F, T, _ = z2_graded_setup()
+    # t⊗id_x runs from x⊗x = I to I; the path t runs from x to x
+    T.on_generators[("t", "x")] = (cat.path(["t"]), cat.path(["u"]))
+    with pytest.raises(PresentationError, match="wrong endpoints"):
+        validate_tensor_data(cat, F, T)
+
+
+def test_duality_squares_pass_with_each_duality_evaluated_once(monkeypatch):
+    import tannakit.catpres as catpres
+    cat, F, T, D = z2_graded_setup()
+    calls = []
+
+    def counted(cat, F, T, D, obj):
+        calls.append(obj)
+        return duality_pairing_vec(cat, F, T, D, obj)
+
+    monkeypatch.setattr(catpres, "duality_pairing_vec", counted)
+    report = validate_duality_data(cat, F, T, D)
+    assert report.passed
+    squares = [c.name for c in report.checks if c.name.startswith("duality_square")]
+    assert squares == ["duality_square:t", "duality_square:u"]
+    assert calls == ["I", "x"]

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from tannakit import Matrix
-from tannakit.cli import main
+from tannakit.cli import load_fixture_text, main
+from tannakit.report import Check
 
-from conftest import cyclic_document
+from conftest import FIXTURES, cyclic_document
 
 BROKEN_DOC = {
     "field": "Q",
@@ -281,3 +282,145 @@ def test_unusable_modulus_exits_with_one_line(tmp_path, capsys, modulus):
     with pytest.raises(SystemExit) as info:
         main(["validate", "--input", str(path)])
     assert str(info.value.code) == message
+
+
+DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
+                     "characters")
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_every_residue_is_zero_exactly_when_its_check_passes(capsys, fixture):
+    for command in DOCUMENT_COMMANDS:
+        code, out = run(capsys, command, "--fixture", fixture, "--json")
+        checks = json.loads(out)["checks"]
+        assert checks
+        for check in checks:
+            assert (check["residue"] == "0") == check["passed"], check
+
+
+def test_check_owns_the_residue_convention():
+    assert Check("x", True, "escapes").residue == "0"
+    assert Check("x", False, "escapes").residue == "escapes"
+    for residue in (None, "0"):
+        with pytest.raises(ValueError):
+            Check("x", False, residue)
+
+
+def run_document(monkeypatch, capsys, command, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main([command, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_characters_stops_at_failing_functor_report(monkeypatch, capsys):
+    doc = json.loads(load_fixture_text("z2_character"))
+    del doc["functor"]["on_objects"]["one"]
+    code, report = run_document(monkeypatch, capsys, "characters", doc)
+    assert code == 1
+    assert report["checks"] == [{"name": "object_dim:one", "passed": False,
+                                 "residue": "missing"}]
+
+
+def zero_rows(rows, cols):
+    return [["0"] * cols for _ in range(rows)]
+
+
+@pytest.mark.parametrize("section, key, value, failing", [
+    ("comodules", "B", zero_rows(4, 2), [("coaction_counit:B", "-1")]),
+    ("coalgebra", "delta", zero_rows(4, 2),
+     [("counit_left", "-1"), ("counit_right", "-1")]),
+    ("comodules", "B", zero_rows(3, 2), [("rho_tilde_inputs", "shape")]),
+    ("comodules", None, None, [("rho_tilde_inputs", "missing")]),
+    ("coalgebra", "delta", zero_rows(3, 2), [("rho_tilde_inputs", "shape")]),
+], ids=["not-a-comodule", "zero-delta", "comodule-shape", "no-comodules",
+        "delta-shape"])
+def test_rho_tilde_reports_bad_inputs(monkeypatch, capsys, section, key, value,
+                                      failing):
+    doc = json.loads(load_fixture_text("z2_function"))
+    if key is None:
+        doc[section] = {}
+    else:
+        doc[section][key] = value
+    code, report = run_document(monkeypatch, capsys, "rho-tilde", doc)
+    assert code == 1 and not report["passed"]
+    assert [(c["name"], c["residue"]) for c in report["checks"]
+            if not c["passed"]] == failing
+    assert "rho_tilde" not in report
+
+
+def test_rho_tilde_passing_document_unchanged(monkeypatch, capsys):
+    doc = json.loads(load_fixture_text("z2_function"))
+    code, report = run_document(monkeypatch, capsys, "rho-tilde", doc)
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == [
+        "functor:no_relations", "coassociativity", "counit_left",
+        "counit_right", "rho_tilde_well_defined", "rho_tilde_respects_delta",
+        "rho_tilde_respects_eps"]
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+def _drop_s_comma(doc):
+    smaps = doc["tensor"]["s"]
+    key = next(iter(smaps))
+    smaps[key.replace(",", "")] = smaps.pop(key)
+
+
+MALFORMED = [
+    ("z2_regular", _set(("functor", "on_objects", "star"), "x"), "document:"),
+    ("z2_regular", _set(("functor", "on_objects", "star"), 1.5), "document:"),
+    ("z2_regular", _set(("functor", "on_objects", "star"), True), "document:"),
+    ("z2_regular", _set(("functor", "on_objects"), "x"), "document:"),
+    ("z2_regular", _set(("functor", "on_generators", "g"), [["1"], ["1", "2"]]),
+     "document:"),
+    ("z2_regular", _set(("functor", "on_generators", "g", 0, 0), "1/0"), "field:"),
+    ("z2_regular", _set(("functor", "on_generators", "g", 0, 0), "abc"), "field:"),
+    ("z2_regular", _set(("functor", "on_generators", "g", 0, 0), 0), "field:"),
+    ("z2_regular", _set(("generators", 0, "dst"), "nowhere"), "document:"),
+    ("z2_regular", _drop(("generators", 0, "name")), "document:"),
+    ("z2_regular", _set(("objects",), 3), "document:"),
+    ("z2_regular", _set(("generators",), 3), "document:"),
+    ("z2_regular", _set(("relations", 0), [["g", "g"]]), "document:"),
+    ("z2_regular", _set(("relations", 0), [["h"], {"at": "star"}]), "document:"),
+    ("z2_character", _drop(("tensor", "unit")), "document:"),
+    ("z2_character", _drop_s_comma, "document:"),
+    ("z2_character", _drop(("tensor", "on_objects", -1)), "document:"),
+    ("z2_character", _drop(("duality", "dual_of")), "document:"),
+    ("z2_character", _set(("duality", "dual_of", "one"), "nowhere"), "document:"),
+    ("z2_regular", _set(("field",), {"Fp": "x"}), "field:"),
+]
+
+
+@pytest.mark.parametrize("fixture, mutate, prefix", MALFORMED, ids=[
+    "dim-text", "dim-float", "dim-bool", "on_objects-text", "ragged-rows",
+    "scalar-1/0", "scalar-abc", "scalar-number", "unknown-dst", "no-name",
+    "objects-number", "generators-number", "one-sided-relation",
+    "relation-unknown-generator", "tensor-no-unit", "s-key-no-comma",
+    "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
+    "field-modulus-text"])
+@pytest.mark.parametrize("command", ["validate", "reconstruct"])
+def test_malformed_document_exits_with_one_line(monkeypatch, command, fixture,
+                                                mutate, prefix):
+    doc = json.loads(load_fixture_text(fixture))
+    mutate(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--json"])
+    message = str(info.value.code)
+    assert message.startswith(prefix) and "\n" not in message

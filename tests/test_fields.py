@@ -94,3 +94,14 @@ def test_field_config_codec():
     assert field_from_config({"Fp": 3}) == GF(3)
     with pytest.raises(FieldError):
         field_from_config({"weird": 1})
+    for modulus in ("x", "7", 7.0, True):
+        with pytest.raises(FieldError):
+            field_from_config({"Fp": modulus})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("text", ["1/0", "abc", "1/2/3", "2 mod 5 mod 5", "",
+                                  0, None, ["1"]])
+def test_malformed_scalar_raises_field_error(field, text):
+    with pytest.raises(FieldError):
+        field.parse(text)

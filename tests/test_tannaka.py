@@ -6,7 +6,7 @@ from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
                       VerificationError, characters, check_comodule,
                       check_rep_correspondence, comodule_morphism_space,
                       endvee_antipode, endvee_bialgebra, endvee_coalgebra,
-                      intertwines_all, kron, lift_functor,
+                      intertwines_all, kron, lift_functor, load_document,
                       morphism_image_span, natvee, rank, rho_tilde,
                       standard_pairing)
 from tannakit.catpres import PresentationError
@@ -15,7 +15,8 @@ from tannakit.hopf import convolve_functionals, enumerate_linear_maps
 from tannakit.linalg import SubspaceBasis
 from tannakit.tannaka import _coefficient_map, rep_of_comodule
 
-from conftest import (bare_object, load_fixture, rand_matrix,
+from conftest import (FIXTURES, bare_object, cyclic_document,
+                      dense_comodule_maps, load_fixture, rand_matrix,
                       rand_sparse_matrix)
 
 
@@ -354,3 +355,47 @@ def test_fullness_witness_dimensions_agree():
     mods = comodule_morphism_space(coactions["star"], coactions["star"])
     span = morphism_image_span(doc.category, doc.functor, "star", "star")
     assert len(mods) == len(span) == 2
+
+
+def comodule_families(doc):
+    """The lifted coactions of a document and, when it declares them, its
+    comodules over the declared coalgebra."""
+    P = natvee(doc.category, doc.functor, doc.functor)
+    families = [lift_functor(doc.category, doc.functor, P)[0]]
+    if doc.comodules is not None:
+        B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
+                          doc.coalgebra["eps"])
+        families.append(comodules_from(doc, B))
+    return families
+
+
+def assert_comodule_maps_match_dense_system(doc):
+    for coms in comodule_families(doc):
+        for com1 in coms.values():
+            for com2 in coms.values():
+                basis = comodule_morphism_space(com1, com2)
+                assert basis == dense_comodule_maps(com1, com2)
+                # the identity of a nonzero comodule is a comodule map
+                assert basis or com1 is not com2 or com1.space_dim == 0
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_comodule_morphism_space_matches_dense_system_on_fixtures(name):
+    assert_comodule_maps_match_dense_system(load_fixture(name))
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_comodule_morphism_space_matches_dense_system_on_cyclic(n, p):
+    assert_comodule_maps_match_dense_system(load_document(cyclic_document(n, p)))
+
+
+def test_rho_tilde_failure_carries_comodule_report():
+    doc = load_fixture("z2_function")
+    B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
+                      doc.coalgebra["eps"])
+    bad = {"B": ComoduleData(2, 2, Matrix.zeros(QQ, 4, 2))}
+    with pytest.raises(VerificationError) as err:
+        rho_tilde(B, doc.category, doc.functor, bad)
+    assert [(c.name, c.passed) for c in err.value.report.checks] == [
+        ("coaction_coassoc:B", True), ("coaction_counit:B", False)]
