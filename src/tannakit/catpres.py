@@ -11,11 +11,13 @@ generators by paths, comparison isomorphisms s and f) and duality data
 (right duals with unit/counit paths) are validated the same way: every
 coherence diagram becomes an exact matrix identity.  In s-naturality an
 identity partner id_C is the empty path at C, so one evaluator
-(``tensor_path_eval``) gives F(p⊗q) for every pair.
+(``tensor_path_eval``) gives F(p⊗q) for every pair.  The dual of a
+generator is read off the evaluated duality with ``linalg.curry`` and
+``uncurry``, without a Kronecker product.
 """
 
 from .fields import field_from_config
-from .linalg import Matrix, kron, permute_cols, solve_matrix, swap_perm
+from .linalg import Matrix, curry, inverse, kron, permute_cols, swap_perm, uncurry
 from .moncat import DualPairing, snake_maps
 from .report import Check, Report, check_equal
 
@@ -243,12 +245,12 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
             s = T.s_map(c, d)
             good_shape = (s.domain_dim == F.dim(c) * F.dim(d)
                           and s.codomain_dim == F.dim(T.obj(c, d)))
-            inv = solve_matrix(s, Matrix.identity(field, s.rows)) if good_shape else None
+            inv = inverse(s) if good_shape else None
             report.add(Check("s_invertible:%s,%s" % (c, d), inv is not None,
                              "singular"))
     f = T.f_unit
-    finv = solve_matrix(f, Matrix.identity(field, f.rows)) \
-        if f.domain_dim == 1 and f.codomain_dim == F.dim(T.unit) else None
+    finv = (inverse(f) if f.domain_dim == 1 and f.codomain_dim == F.dim(T.unit)
+            else None)
     report.add(Check("f_unit_invertible", finv is not None, "singular"))
     if not report.passed:
         return report
@@ -318,7 +320,6 @@ def duality_pairing_vec(cat, F, T: TensorData, D: DualityData, obj):
     eps_vec: F(C)⊗F(C^∧) → K, obtained from the paths by conjugating
     with the comparison isos s and f.
     """
-    field = F.field
     dual = D.dual(obj)
     eta_path = D.eta[obj]
     eps_path = D.eps[obj]
@@ -328,9 +329,9 @@ def duality_pairing_vec(cat, F, T: TensorData, D: DualityData, obj):
         raise PresentationError("eps path for %r has wrong endpoints" % obj)
     s_da = T.s_map(dual, obj)
     s_ad = T.s_map(obj, dual)
-    s_da_inv = solve_matrix(s_da, Matrix.identity(field, s_da.rows))
+    s_da_inv = inverse(s_da)
     f = T.f_unit
-    f_inv = solve_matrix(f, Matrix.identity(field, f.rows))
+    f_inv = inverse(f)
     if s_da_inv is None or f_inv is None:
         raise PresentationError("comparison isos at %r are singular" % obj)
     eta_vec = s_da_inv @ path_eval(cat, F, eta_path) @ f
@@ -342,16 +343,13 @@ def dual_generator_map(F, g: Generator, eta_x: Matrix, eps_y: Matrix) -> Matrix:
     """Image of a generator under the right-duality functor: F(Y^∧) → F(X^∧).
 
     For g: X → Y this is (id⊗eps_Y)∘(id⊗F(g)⊗id)∘(eta_X⊗id), from the
-    evaluated unit at X and counit at Y (``duality_pairing_vec``); a dual
-    F(C^∧) has the dimension of F(C).
+    evaluated unit at X and counit at Y (``duality_pairing_vec``), that is
+    ι'_X∘F(g)^T∘ι_Y^T with ι'_X = uncurry(eta_X) and ι_Y = curry(eps_Y);
+    a dual F(C^∧) has the dimension of F(C).
     """
-    field = F.field
-    id_xd = Matrix.identity(field, F.dim(g.src))
-    id_yd = Matrix.identity(field, F.dim(g.dst))
-    step1 = kron(eta_x, id_yd)                       # F(Y^∧) → F(X^∧)⊗F(X)⊗F(Y^∧)
-    step2 = kron(kron(id_xd, F.gen_matrix(g.name)), id_yd)
-    step3 = kron(id_xd, eps_y)                       # → F(X^∧)
-    return step3 @ step2 @ step1
+    dx, dy = F.dim(g.src), F.dim(g.dst)
+    return (uncurry(eta_x, dx, dx) @ F.gen_matrix(g.name).transpose()
+            @ curry(eps_y, dy, dy).transpose())
 
 
 def validate_duality_data(cat, F, T, D: DualityData) -> Report:
@@ -462,7 +460,7 @@ def _decode_relation(cat, raw):
         left = cat.path((), at=right.src)
     if right is None:
         right = cat.path((), at=left.src)
-    return left, right
+    return cat._check_relation(left, right)
 
 
 def _is_bare_empty(raw):

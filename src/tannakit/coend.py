@@ -15,9 +15,10 @@ input for the rank and span oracles of the tests.
 
 ``nat_space`` computes Nat(F, G) on the other side of the predual pairing
 as the solution space of the naturality equations, which it builds as
-sparse rows for ``kernel_basis`` in the same way, and ``pairing_to_nat``
-/ ``nat_to_pairing`` realize the pairing between the two, functional by
-functional.
+sparse rows for ``kernel_basis`` in the same way.  The pairing between
+the two is the tensor–hom adjunction: ``pairing_to_nat`` curries ξ∘λ_C
+and ``nat_to_pairing`` uncurries θ_C (``linalg.curry``/``uncurry``), and
+the coevaluation η_C is curry(λ_C).
 
 Every map out of the quotient that is defined blockwise on the ambient
 sum descends through one path, ``CoendPresentation.push_to_quotient``:
@@ -31,8 +32,8 @@ middle index, so Δ never builds a Kronecker product.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
-from .linalg import (Matrix, SubspaceBasis, kernel_basis, kron, quotient,
-                     rref)
+from .linalg import (Matrix, SubspaceBasis, curry, kernel_basis, kron, quotient,
+                     rref, uncurry)
 from .moncat import standard_pairing
 from .report import Check, Report, VerificationError
 
@@ -78,6 +79,10 @@ class CoendPresentation:
         """Glue per-object maps on ambient blocks into one map on the ambient."""
         out = Matrix.zeros(self.field, codomain_dim, self.ambient_dim)
         for obj, m in block_maps.items():
+            fd, gd = self.block_dims(obj)
+            if (m.rows, m.cols) != (codomain_dim, fd * gd):
+                raise ValueError("map on the block at %r is %dx%d, not %dx%d"
+                                 % (obj, m.rows, m.cols, codomain_dim, fd * gd))
             off = self.offsets[obj]
             for i in range(m.rows):
                 row = out.data[i]
@@ -248,48 +253,27 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
 
 
 def pairing_to_nat(P: CoendPresentation, xi: Matrix) -> dict:
-    """Natural family from a functional on the coend: θ_C(v) = Σ_j ξ(λ_C(v⊗e_j^∨))·e_j."""
+    """Natural family θ_C = curry(ξ∘λ_C) from a functional ξ on the coend."""
     if xi.rows != 1 or xi.cols != P.quotient_dim:
         raise ValueError("functional must be 1 x quotient_dim")
-    family = {}
-    for obj, fd, gd in P.object_index:
-        lam = xi @ P.lam(obj)          # 1 x (fd·gd)
-        theta = Matrix.zeros(P.field, gd, fd)
-        for i in range(fd):
-            for j in range(gd):
-                theta.data[j][i] = lam.data[0][i * gd + j]
-        family[obj] = theta
-    return family
+    return {obj: curry(xi @ P.lam(obj), fd, gd) for obj, fd, gd in P.object_index}
 
 
 def nat_to_pairing(P: CoendPresentation, family: dict) -> Matrix:
-    """Inverse of pairing_to_nat: solve ξ∘λ_C = flatten(θ_C) for ξ.
+    """Inverse of pairing_to_nat: solve ξ∘λ_C = uncurry(θ_C) for ξ.
 
-    The flattened family is a functional on the ambient sum; it descends
+    The uncurried family is a functional on the ambient sum; it descends
     to the quotient exactly when the family is natural, which is verified.
     """
-    field = P.field
-    flat = Matrix.zeros(field, 1, P.ambient_dim)
-    for obj, fd, gd in P.object_index:
-        theta = family[obj]
-        off = P.offsets[obj]
-        for i in range(fd):
-            for j in range(gd):
-                flat.data[0][off + i * gd + j] = theta.data[j][i]
-    return P.push_to_quotient(flat, "nat_to_pairing functional")
+    blocks = {obj: uncurry(family[obj], 1, gd) for obj, _, gd in P.object_index}
+    return P.push_to_quotient(P.assemble_on_blocks(blocks, 1),
+                              "nat_to_pairing functional")
 
 
 def coevaluation(P: CoendPresentation, obj) -> Matrix:
-    """η_C: F(C) → Nat^∨(F,G) ⊗ G(C), e_k ↦ Σ_j λ_C(e_k⊗e_j^∨) ⊗ e_j."""
+    """η_C = curry(λ_C): F(C) → Nat^∨(F,G) ⊗ G(C), e_k ↦ Σ_j λ_C(e_k⊗e_j^∨)⊗e_j."""
     fd, gd = P.block_dims(obj)
-    lam = P.lam(obj)
-    out = Matrix.zeros(P.field, P.quotient_dim * gd, fd)
-    for k in range(fd):
-        for j in range(gd):
-            col = lam.col(k * gd + j)
-            for q in range(P.quotient_dim):
-                out.data[q * gd + j][k] = col[q]
-    return out
+    return curry(P.lam(obj), fd, gd)
 
 
 def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,

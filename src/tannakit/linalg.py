@@ -16,6 +16,10 @@ index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
 the right of a matrix without building it, and ``perm_matrix`` builds the
 dense matrix only where a caller needs one.
 
+``curry`` and ``uncurry`` are the tensor–hom adjunction Hom(V⊗W^∨, B) ≅
+Hom(V, B⊗W), ``curry(h)[b·w + j][i] = h[b][i·w + j]``: coevaluations,
+pairings, coefficient maps and duals go through them.
+
 ``kron_apply(a, b, m)`` is ``kron(a, b) @ m`` without the Kronecker
 product: each nonzero ``m[(j, l)][c]`` is spread over the nonzeros of
 column j of a and column l of b, so a law such as (Δ⊗id)∘Δ costs the
@@ -252,6 +256,36 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     return out
 
 
+# -- the tensor–hom adjunction ----------------------------------------
+
+
+def curry(h: Matrix, v: int, w: int) -> Matrix:
+    """Hom(V⊗W^∨, B) → Hom(V, B⊗W): ``curry(h)[b·w + j][i] = h[b][i·w + j]``.
+
+    h: V⊗W^∨ → B becomes V → B⊗W, e_i ↦ Σ_{b,j} h(e_i⊗e_j^∨)·e_b⊗e_j.
+    B is read off ``h.rows``; V and W are given, since a factor of
+    dimension 0 leaves the other unreadable from ``h.cols``.
+    """
+    if v < 0 or w < 0 or h.cols != v * w:
+        raise ValueError("%d columns do not factor as V⊗W^∨ with dims %d, %d"
+                         % (h.cols, v, w))
+    return Matrix(h.field, [[row[i * w + j] for i in range(v)]
+                            for row in h.data for j in range(w)], cols=v)
+
+
+def uncurry(g: Matrix, b: int, w: int) -> Matrix:
+    """Inverse of ``curry``: g: V → B⊗W becomes V⊗W^∨ → B.
+
+    V is read off ``g.cols``; B and W are given, for the same reason.
+    """
+    if b < 0 or w < 0 or g.rows != b * w:
+        raise ValueError("%d rows do not factor as B⊗W with dims %d, %d"
+                         % (g.rows, b, w))
+    v = g.cols
+    return Matrix(g.field, [[g.data[r * w + j][i] for i in range(v) for j in range(w)]
+                            for r in range(b)], cols=v * w)
+
+
 # -- permutations as index maps ---------------------------------------
 
 
@@ -455,6 +489,13 @@ def solve_matrix(a: Matrix, b: Matrix):
     for r, p in enumerate(pivots):
         out.data[p] = ech.data[r][a.cols:]
     return out
+
+
+def inverse(m: Matrix):
+    """The inverse of m, or None unless m is square and invertible."""
+    if m.rows != m.cols:
+        return None
+    return solve_matrix(m, Matrix.identity(m.field, m.rows))
 
 
 def quotient(ambient_dim: int, relations: SubspaceBasis):

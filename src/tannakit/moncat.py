@@ -11,7 +11,9 @@ dimension by ``MAX_WORD_DIM``.
 Also houses dual pairings (evaluation/coevaluation), whose two snake
 composites are written once in ``snake_maps`` for both ``check_triangles``
 and the triangle checks of ``catpres.validate_duality_data``, and the
-dual of a linear map computed through pairings.
+dual of a linear map computed through pairings.  Both are the tensor–hom
+adjunction (``linalg.curry``/``uncurry``): the standard evaluation is
+the identity uncurried.
 
 Canonical text form: words are comma-separated atom names in brackets,
 expressions are ``id[a,b]``, ``swap[a,b;0]``, ``(e1 ; e2)`` for
@@ -19,7 +21,8 @@ composition and ``(e1 * e2)`` for tensor.
 """
 
 from .fields import QQ
-from .linalg import Matrix, kron, kron_perm, perm_matrix, solve_matrix, swap_perm
+from .linalg import (Matrix, curry, inverse, kron, kron_perm, perm_matrix,
+                     swap_perm, uncurry)
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
 
@@ -202,15 +205,11 @@ class DualPairing:
 def standard_pairing(dim: int, field=QQ) -> DualPairing:
     """The evaluation form φ⊗v ↦ φ(v) and the coevaluation 1 ↦ Σ e_i⊗e_i^∨.
 
-    Both matrices are the flattened identity under the index convention.
+    The evaluation is the identity uncurried, and the coevaluation its
+    transpose: both are the flattened identity under the index convention.
     """
-    ev = Matrix.zeros(field, 1, dim * dim)
-    co = Matrix.zeros(field, dim * dim, 1)
-    one = field.one()
-    for i in range(dim):
-        ev.data[0][i * dim + i] = one
-        co.data[i * dim + i][0] = one
-    return DualPairing(dim, ev, co)
+    ev = uncurry(Matrix.identity(field, dim), 1, dim)
+    return DualPairing(dim, ev, ev.transpose())
 
 
 def snake_maps(p: DualPairing):
@@ -230,20 +229,17 @@ def check_triangles(p: DualPairing) -> bool:
 def dual_map(f: Matrix, p_dom: DualPairing, p_cod: DualPairing) -> Matrix:
     """Dual of f: Y → X through pairings, as a map X^∨ → Y^∨.
 
-    The composite is (eval_X ⊗ id) ∘ (id ⊗ f ⊗ id) ∘ (id ⊗ coeval_Y);
-    with standard pairings on both sides this is the transpose of f.
+    The composite is (eval_X ⊗ id) ∘ (id ⊗ f ⊗ id) ∘ (id ⊗ coeval_Y),
+    that is uncurry(coeval_Y)^T∘f^T∘curry(eval_X); with standard pairings
+    on both sides this is the transpose of f.
     """
     if p_dom.space_dim != f.codomain_dim:
         raise ValueError("p_dom must pair the codomain of f")
     if p_cod.space_dim != f.domain_dim:
         raise ValueError("p_cod must pair the domain of f")
-    field = f.field
-    id_xd = Matrix.identity(field, p_dom.space_dim)
-    id_yd = Matrix.identity(field, p_cod.space_dim)
-    step1 = kron(id_xd, p_cod.coeval)              # X^∨ → X^∨⊗Y⊗Y^∨
-    step2 = kron(kron(id_xd, f), id_yd)            # → X^∨⊗X⊗Y^∨
-    step3 = kron(p_dom.eval, id_yd)                # → Y^∨
-    return step3 @ step2 @ step1
+    dx, dy = p_dom.space_dim, p_cod.space_dim
+    return (uncurry(p_cod.coeval, dy, dy).transpose() @ f.transpose()
+            @ curry(p_dom.eval, dx, dx))
 
 
 def transport_pairing(p: DualPairing, pmat: Matrix) -> DualPairing:
@@ -254,14 +250,12 @@ def transport_pairing(p: DualPairing, pmat: Matrix) -> DualPairing:
     dual-slot factors are mutually inverse, which is exactly what keeps
     both snake identities true.
     """
-    n = p.space_dim
-    ident = Matrix.identity(pmat.field, n)
-    pinv = solve_matrix(pmat, ident)
+    pinv = inverse(pmat)
     if pinv is None:
         raise ValueError("transport needs an invertible matrix")
     new_eval = p.eval @ kron(pmat.transpose(), pinv)
     new_coeval = kron(pmat, pinv.transpose()) @ p.coeval
-    return DualPairing(n, new_eval, new_coeval)
+    return DualPairing(p.space_dim, new_eval, new_coeval)
 
 
 # -- canonical text form ----------------------------------------------

@@ -6,9 +6,10 @@ blockwise by λ_{C⊗D}∘(s_{C,D}⊗s_{C,D}^{-∨}) after reordering the four
 tensor factors with the middle-swap index map (never built as a matrix),
 and the unit by λ_{I}∘(f⊗f^{-∨}).  With valid duality data it becomes a Hopf
 algebra: the antipode acts on the block at C by moving it to the block
-at C^∧ through the canonical identifications ι_C: F(C) → F(C^∧)^∨ and
-ι'_C: F(C)^∨ → F(C^∧) read off from the evaluated unit/counit of the
-duality, followed by the factor swap.
+at C^∧ through the canonical identifications ι_C = curry(ε_C): F(C) →
+F(C^∧)^∨ and ι'_C = uncurry(η_C): F(C)^∨ → F(C^∧) of the evaluated
+counit and unit of the duality, followed by the factor swap.  ρ̃'s
+blocks are uncurry(ρ_V).
 
 Every map defined on generators (m, a, ε, Δ, ρ̃) is built on the
 ambient space and descends through ``CoendPresentation.push_to_quotient``,
@@ -30,8 +31,8 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
                     nat_space, natvee)
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule_morphism, convolve_functionals)
-from .linalg import (Matrix, SubspaceBasis, kron, kron_apply, kron_perm,
-                     permute_cols, solve_matrix, swap_perm)
+from .linalg import (Matrix, SubspaceBasis, curry, inverse, kron, kron_apply,
+                     kron_perm, permute_cols, swap_perm, uncurry)
 from .report import Check, Report, VerificationError, check_equal
 
 
@@ -54,7 +55,7 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
     for c, dc, _ in P.object_index:
         for d, dd, _ in P.object_index:
             smap = T.s_map(c, d)
-            sinv = solve_matrix(smap, Matrix.identity(field, smap.rows))
+            sinv = inverse(smap)
             if sinv is None:
                 raise VerificationError("comparison s at (%s, %s) is singular" % (c, d))
             mid = kron_perm(kron_perm(range(dc), swap_perm(dc, dd)), range(dd))
@@ -69,7 +70,7 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
                         mmap.data[r][dst] = block.data[r][src]
     m = P.push_to_quotient(mmap, "multiplication")
     f = T.f_unit
-    finv = solve_matrix(f, Matrix.identity(field, f.rows))
+    finv = inverse(f)
     if finv is None:
         raise VerificationError("unit comparison f is singular")
     u = P.lam(T.unit) @ kron(f, finv.transpose())
@@ -83,7 +84,6 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
 def endvee_antipode(cat, F, T, D, P: CoendPresentation,
                     bialgebra: BialgebraData = None) -> HopfData:
     """Antipode from duality data: a∘λ_C = λ_{C^∧}∘swap∘(ι_C ⊗ ι'_C)."""
-    field = P.field
     if bialgebra is None:
         bialgebra = endvee_bialgebra(cat, F, T, P)
     blocks = {}
@@ -91,14 +91,7 @@ def endvee_antipode(cat, F, T, D, P: CoendPresentation,
         dual = D.dual(obj)
         ddual = F.dim(dual)
         eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, obj)
-        iota = Matrix.zeros(field, ddual, d)       # F(C) → F(C^∧)^∨
-        for b in range(ddual):
-            for i in range(d):
-                iota.data[b][i] = eps_vec.data[0][i * ddual + b]
-        iota_p = Matrix.zeros(field, ddual, d)     # F(C)^∨ → F(C^∧)
-        for a in range(ddual):
-            for j in range(d):
-                iota_p.data[a][j] = eta_vec.data[a * d + j][0]
+        iota, iota_p = curry(eps_vec, d, ddual), uncurry(eta_vec, ddual, d)
         blocks[obj] = (permute_cols(P.lam(dual), swap_perm(ddual, ddual))
                        @ kron(iota, iota_p))
     ambient_map = P.assemble_on_blocks(blocks, P.quotient_dim)
@@ -144,7 +137,7 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
     coaction must satisfy the comodule laws and every generator image
     must be a comodule morphism (checked, not assumed: a failing
     ``comodule_report`` raises ``VerificationError`` carrying it).
-    Blocks: ρ̃∘λ_V = (id_B ⊗ eval_V)∘(ρ_V ⊗ id_{V^∨}).
+    Blocks: ρ̃∘λ_V = (id_B ⊗ eval_V)∘(ρ_V ⊗ id_{V^∨}) = uncurry(ρ_V).
 
     Those premises are exactly what makes the ambient map kill every
     relation, so it always descends; a failure to descend raises
@@ -158,8 +151,8 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
     comodule_report(cat, F, coactions, B).require("rho_tilde")
     if P is None:
         P = natvee(cat, F, F)
-    blocks = {obj: _coefficient_map(coactions[obj])
-              for obj, _, _ in P.object_index}
+    blocks = {obj: uncurry(coactions[obj].rho, B.dim, d)
+              for obj, d, _ in P.object_index}
     ambient_map = P.assemble_on_blocks(blocks, B.dim)
     rt = P.push_to_quotient(ambient_map, "rho_tilde")
     report = Report()
@@ -169,19 +162,6 @@ def rho_tilde(B: CoalgebraData, cat, F, coactions, P: CoendPresentation = None):
                            B.delta @ rt, kron_apply(rt, rt, endv.delta)))
     report.add(check_equal("rho_tilde_respects_eps", B.eps @ rt, endv.eps))
     return rt, report
-
-
-def _coefficient_map(com: ComoduleData) -> Matrix:
-    """(id_B⊗eval)∘(ρ⊗id): V⊗V^∨ → B for the coaction ρ: V → B⊗V.
-
-    The evaluation pairs the V-output of ρ with the V^∨ input, so the
-    composite is the reindexing α[b][i·d + j] = ρ[b·d + j][i].
-    """
-    d = com.space_dim
-    rho = com.rho.data
-    return Matrix(com.field,
-                  [[rho[b * d + j][i] for i in range(d) for j in range(d)]
-                   for b in range(com.coalgebra_dim)], cols=d * d)
 
 
 def rep_of_comodule(com: ComoduleData, chi: Matrix) -> Matrix:

@@ -217,10 +217,10 @@ def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):
 
 
 def rand_invertible(rng, field, n):
-    from tannakit.linalg import solve_matrix
+    from tannakit.linalg import inverse
     while True:
         m = rand_matrix(rng, field, n, n)
-        if solve_matrix(m, Matrix.identity(field, n)) is not None:
+        if inverse(m) is not None:
             return m
 
 

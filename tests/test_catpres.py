@@ -6,7 +6,7 @@ from tannakit.catpres import (PresentationError, dual_generator_map,
                               duality_pairing_vec, path_eval,
                               validate_duality_data, validate_functor,
                               validate_tensor_data)
-from tannakit.linalg import solve_matrix
+from tannakit.linalg import inverse
 from tannakit.moncat import DualPairing
 from tannakit.report import check_equal
 
@@ -115,6 +115,16 @@ def test_perturbed_unit_s_fails_unit_diagram():
     assert not report.passed
     names = [c.name for c in report.failures()]
     assert any("unit_diagram" in n for n in names)
+
+
+def test_unit_comparison_into_a_zero_space_is_not_invertible():
+    # f: K → F(I) with dim F(I) = 0 has a right inverse, but is no isomorphism
+    from tannakit.catpres import TensorData
+    T = TensorData("I", {("I", "I"): "I"}, {("I", "I"): Matrix.zeros(QQ, 0, 0)},
+                   Matrix.zeros(QQ, 0, 1))
+    report = validate_tensor_data(PresentedCategory(["I"], []),
+                                  FiberFunctor(QQ, {"I": 0}, {}), T)
+    assert [c.name for c in report.failures()] == ["f_unit_invertible"]
 
 
 def test_trivial_tensor_valid():
@@ -284,7 +294,7 @@ def nontrivial_duality_setup(pairing_form=None, extra_gen=None):
     from tannakit.catpres import DualityData, TensorData
     if pairing_form is None:
         pairing_form = Matrix.identity(QQ, 2)
-    einv = solve_matrix(pairing_form, Matrix.identity(QQ, 2))
+    einv = inverse(pairing_form)
     objs = ["I", "a", "b", "ab", "ba"]
     gens = [Generator("eta", "I", "ba"), Generator("eps", "ab", "I")]
     gen_mats = {

@@ -382,6 +382,15 @@ def _drop_s_comma(doc):
     smaps[key.replace(",", "")] = smaps.pop(key)
 
 
+def _relation_with_different_endpoints(doc):
+    # g: a → b with the relation g = id_a
+    doc.update(objects=["a", "b"],
+               generators=[{"name": "g", "src": "a", "dst": "b"}],
+               relations=[[["g"], {"at": "a"}]],
+               functor={"on_objects": {"a": 1, "b": 1},
+                        "on_generators": {"g": [["1"]]}})
+
+
 MALFORMED = [
     ("z2_regular", _set(("functor", "on_objects", "star"), "x"), "document:"),
     ("z2_regular", _set(("functor", "on_objects", "star"), 1.5), "document:"),
@@ -398,6 +407,7 @@ MALFORMED = [
     ("z2_regular", _set(("generators",), 3), "document:"),
     ("z2_regular", _set(("relations", 0), [["g", "g"]]), "document:"),
     ("z2_regular", _set(("relations", 0), [["h"], {"at": "star"}]), "document:"),
+    ("z2_regular", _relation_with_different_endpoints, "document:"),
     ("z2_character", _drop(("tensor", "unit")), "document:"),
     ("z2_character", _drop_s_comma, "document:"),
     ("z2_character", _drop(("tensor", "on_objects", -1)), "document:"),
@@ -411,8 +421,8 @@ MALFORMED = [
     "dim-text", "dim-float", "dim-bool", "on_objects-text", "ragged-rows",
     "scalar-1/0", "scalar-abc", "scalar-number", "unknown-dst", "no-name",
     "objects-number", "generators-number", "one-sided-relation",
-    "relation-unknown-generator", "tensor-no-unit", "s-key-no-comma",
-    "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
+    "relation-unknown-generator", "relation-endpoints", "tensor-no-unit",
+    "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
     "field-modulus-text"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 def test_malformed_document_exits_with_one_line(monkeypatch, command, fixture,
@@ -424,3 +434,23 @@ def test_malformed_document_exits_with_one_line(monkeypatch, command, fixture,
         main([command, "--json"])
     message = str(info.value.code)
     assert message.startswith(prefix) and "\n" not in message
+
+
+def test_non_square_s_is_not_invertible(monkeypatch, capsys):
+    # a⊗a = I with dims 2 and 1: the 1×4 s_{a,a} has a right inverse but
+    # is no isomorphism F(a)⊗F(a) → F(I)
+    ident2 = [["1", "0"], ["0", "1"]]
+    doc = {"field": "Q", "objects": ["I", "a"], "generators": [], "relations": [],
+           "functor": {"on_objects": {"I": 1, "a": 2}, "on_generators": {}},
+           "tensor": {"unit": "I",
+                      "on_objects": [["I", "I", "I"], ["I", "a", "a"],
+                                     ["a", "I", "a"], ["a", "a", "I"]],
+                      "s": {"I,I": [["1"]], "I,a": ident2, "a,I": ident2,
+                            "a,a": [["1", "0", "0", "1"]]},
+                      "f_unit": [["1"]]}}
+    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    assert code == 1
+    assert [(c["name"], c["passed"]) for c in report["checks"]
+            if c["name"].startswith("s_invertible")] == [
+        ("s_invertible:I,I", True), ("s_invertible:I,a", True),
+        ("s_invertible:a,I", True), ("s_invertible:a,a", False)]

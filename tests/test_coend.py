@@ -7,8 +7,9 @@ from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
                       nat_space, natvee, pairing_bijection_report, rref,
                       standard_pairing)
 from tannakit.catpres import path_eval
-from tannakit.coend import coevaluation, pairing_to_nat, relation_vectors
-from tannakit.linalg import SubspaceBasis, solve_matrix
+from tannakit.coend import (coevaluation, nat_to_pairing, pairing_to_nat,
+                            relation_vectors)
+from tannakit.linalg import SubspaceBasis, inverse
 
 from conftest import load_fixture, rand_invertible, rand_matrix
 
@@ -157,6 +158,17 @@ def test_pairing_roundtrip():
     assert pairing_bijection_report(P).passed
 
 
+def test_nat_to_pairing_rejects_a_family_of_the_wrong_shape():
+    # θ_one must be 1×1; a 1×2 block would spill into the block of sigma
+    doc = load_fixture("z2_character")
+    P = natvee(doc.category, doc.functor, doc.functor)
+    family = {"one": Matrix.from_ints(QQ, [[1, 5]]),
+              "sigma": Matrix.from_ints(QQ, [[0]])}
+    for order in (family, dict(reversed(family.items()))):
+        with pytest.raises(ValueError):
+            nat_to_pairing(P, order)
+
+
 def test_pairing_to_nat_lands_in_nat_space():
     doc = load_fixture("z2_regular")
     P = natvee(doc.category, doc.functor, doc.functor)
@@ -269,7 +281,7 @@ def involution_functor(rng, field, plus, minus, isolated_dim):
     for i in range(plus, d):
         diag.data[i][i] = field.neg(field.one())
     basis = rand_invertible(rng, field, d)
-    s = basis @ diag @ solve_matrix(basis, Matrix.identity(field, d))
+    s = basis @ diag @ inverse(basis)
     return FiberFunctor(field, {"c": d, "e": isolated_dim}, {"s": s})
 
 

@@ -23,7 +23,7 @@ N = 6
 PERM = [3, 0, 5, 1, 4, 2]
 DIAG = [2, -3, 1, 3, -1, -2]
 FIELDS = {"Q": None, "F101": 101}
-SUBCOMMANDS = ["nat", "reconstruct", "rho-tilde"]
+SUBCOMMANDS = ["nat", "reconstruct", "rho-tilde", "lift"]
 
 
 def cyclic_outputs(tmp_dir):

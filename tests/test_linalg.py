@@ -5,9 +5,9 @@ import pytest
 
 from tannakit import GF, Matrix, QQ, kron, load_document, rank, rref
 from tannakit.coend import relation_vectors
-from tannakit.linalg import (SubspaceBasis, kernel_basis, kron_apply,
-                             kron_perm, perm_matrix, permute_cols, quotient,
-                             solve_matrix, swap_perm)
+from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
+                             kron_apply, kron_perm, perm_matrix, permute_cols,
+                             quotient, solve_matrix, swap_perm, uncurry)
 
 from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
                       dense_rref, dense_swap, rand_invertible, rand_matrix,
@@ -281,6 +281,50 @@ def test_kron_apply_rejects_shape_mismatch():
         kron_apply(a, b, Matrix.zeros(QQ, 0, 1))
 
 
+def written_out_coeval(field, w):
+    """1 ↦ Σ_j e_j^∨⊗e_j as a w²×1 column; transposed, the evaluation
+    W⊗W^∨ → K."""
+    co = Matrix.zeros(field, w * w, 1)
+    for j in range(w):
+        co.data[j * w + j][0] = field.one()
+    return co
+
+
+# (dim V, dim W, dim B), with each of them at 0
+ADJUNCTION_DIMS = [(2, 3, 2), (3, 2, 1), (1, 1, 4), (4, 2, 3),
+                   (0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_curry_and_uncurry_match_the_adjunction_composites(rng, field):
+    for v, w, b in ADJUNCTION_DIMS:
+        co = written_out_coeval(field, w)
+        id_v, id_w = Matrix.identity(field, v), Matrix.identity(field, w)
+        for density in (1.0, 0.3):
+            h = rand_sparse_matrix(rng, field, b, v * w, density, denom=True)
+            g = rand_sparse_matrix(rng, field, b * w, v, density, denom=True)
+            # curry(h) = (h⊗id_W)∘(id_V⊗coeval_W): V → B⊗W
+            assert curry(h, v, w) == kron(h, id_w) @ kron(id_v, co)
+            # uncurry(g) = (id_B⊗eval_W)∘(g⊗id_{W^∨}): V⊗W^∨ → B
+            assert uncurry(g, b, w) == (kron(Matrix.identity(field, b), co.transpose())
+                                        @ kron(g, id_w))
+            assert uncurry(curry(h, v, w), b, w) == h
+            assert curry(uncurry(g, b, w), v, w) == g
+
+
+def test_curry_and_uncurry_reject_shapes_that_do_not_factor():
+    with pytest.raises(ValueError):
+        curry(Matrix.zeros(QQ, 2, 5), 2, 2)
+    with pytest.raises(ValueError):
+        curry(Matrix.zeros(QQ, 2, 0), 1, 2)
+    with pytest.raises(ValueError):
+        uncurry(Matrix.zeros(QQ, 5, 2), 2, 2)
+    with pytest.raises(ValueError):
+        uncurry(Matrix.zeros(QQ, 0, 2), 1, 2)
+    with pytest.raises(ValueError):
+        uncurry(Matrix.zeros(QQ, 0, 2), -1, 0)
+
+
 def assert_quotient_of(proj, free, rel):
     """proj is the identity on the free columns and kills the relations."""
     on_free = Matrix(QQ, [[row[c] for c in free] for row in proj.data],
@@ -367,6 +411,14 @@ def test_solve_matrix_inverse():
     a = Matrix.from_ints(QQ, [[2, 1], [1, 1]])
     inv = solve_matrix(a, Matrix.identity(QQ, 2))
     assert a @ inv == Matrix.identity(QQ, 2)
+    assert inverse(a) == inv
+    assert inverse(Matrix.from_ints(QQ, [[1, 2], [2, 4]])) is None
+    # a 1×4 matrix has a right inverse but is no isomorphism
+    wide = Matrix.from_ints(QQ, [[1, 0, 0, 1]])
+    assert solve_matrix(wide, Matrix.identity(QQ, 1)) is not None
+    assert inverse(wide) is None
+    assert inverse(Matrix.from_ints(QQ, [[1], [0]])) is None
+    assert inverse(Matrix.zeros(QQ, 0, 0)) == Matrix.zeros(QQ, 0, 0)
 
 
 def test_prime_field_linalg():

@@ -12,8 +12,8 @@ from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
 from tannakit.catpres import PresentationError
 from tannakit.coend import pairing_to_nat
 from tannakit.hopf import convolve_functionals, enumerate_linear_maps
-from tannakit.linalg import SubspaceBasis
-from tannakit.tannaka import _coefficient_map, rep_of_comodule
+from tannakit.linalg import SubspaceBasis, uncurry
+from tannakit.tannaka import rep_of_comodule
 
 from conftest import (FIXTURES, bare_object, cyclic_document,
                       dense_comodule_maps, load_fixture, rand_matrix,
@@ -223,11 +223,10 @@ def test_coefficient_map_matches_dense_product(rng, field):
     for bdim, d in [(2, 2), (3, 2), (2, 4), (4, 3)]:
         for rho in (rand_matrix(rng, field, bdim * d, d, denom=True),
                     rand_sparse_matrix(rng, field, bdim * d, d, 0.3)):
-            com = ComoduleData(bdim, d, rho)
             dense = (kron(Matrix.identity(field, bdim),
                           standard_pairing(d, field).eval)
                      @ kron(rho, Matrix.identity(field, d)))
-            assert _coefficient_map(com) == dense
+            assert uncurry(rho, bdim, d) == dense
 
 
 def test_convolution_of_functionals_matches_composition():
