@@ -13,7 +13,7 @@ checks it is driven with, and the library's exception classes; every
 other name is imported from its submodule.
 """
 
-from .fields import GF, QQ, FieldError
+from .fields import GF, QQ, FieldError, InputError
 from .linalg import Matrix, kron, rank, rref
 from .moncat import (ExprError, check_triangles, coherence_equal, dual_map,
                      eval_in_vec, standard_pairing)

@@ -16,14 +16,14 @@ generator is read off the evaluated duality with ``linalg.curry`` and
 ``uncurry``, without a Kronecker product.
 """
 
-from .fields import field_from_config
+from .fields import InputError, field_from_config
 from .linalg import Matrix, curry, inverse, kron, permute_cols, swap_perm, uncurry
 from .moncat import DualPairing, snake_maps
 from .report import Check, Report, check_equal
 
 
-class PresentationError(ValueError):
-    pass
+class PresentationError(InputError):
+    source = "document"
 
 
 class Generator:
@@ -61,6 +61,9 @@ class Path:
 class PresentedCategory:
     def __init__(self, objects, generators, relations=()):
         self.objects = list(objects)
+        for obj in self.objects:
+            if self.objects.count(obj) > 1:
+                raise PresentationError("duplicate object name %r" % obj)
         self.generators = list(generators)
         self._by_name = {}
         for g in self.generators:
@@ -140,6 +143,8 @@ def validate_functor(cat: PresentedCategory, F: FiberFunctor) -> Report:
         elif F.dim(obj) < 0:
             report.add(Check("object_dim:%s" % obj, False, residue="negative"))
     for g in cat.generators:
+        if g.src not in F.on_objects or g.dst not in F.on_objects:
+            continue
         m = F.on_generators.get(g.name)
         ok = (m is not None and m.domain_dim == F.dim(g.src)
               and m.codomain_dim == F.dim(g.dst))

@@ -2,8 +2,11 @@
 
 Subcommands: validate, reconstruct, lift, rho-tilde, nat, coherence,
 characters.  Input documents are JSON on stdin, via --input, or a shipped
-fixture via --fixture; --json switches to machine output; the exit code
-is 0 exactly when every check in the emitted report passes.
+fixture via --fixture; --json switches to machine output.  The exit code
+is 0 when every check in the emitted report passes, 1 when one fails,
+and 2 when the input is rejected (an ``InputError``, reported only by
+``main``): one ``<source>: <message>`` line on stderr, or with --json
+``{"error": {"source": ..., "message": ...}}`` on stdout.
 """
 
 import argparse
@@ -11,14 +14,14 @@ import json
 import sys
 from importlib import resources
 
-from .catpres import (PresentationError, load_document, validate_duality_data,
-                      validate_functor, validate_tensor_data)
+from .catpres import (load_document, validate_duality_data, validate_functor,
+                      validate_tensor_data)
 from .coend import nat_space, natvee, pairing_bijection_report
-from .fields import FieldError
+from .fields import InputError
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
 from .linalg import rank
-from .moncat import ExprError, coherence_equal, eval_in_vec, parse_expr
+from .moncat import coherence_equal, eval_in_vec, parse_expr
 from .report import Check, Report, VerificationError
 from .tannaka import (endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       lift_functor, rho_tilde)
@@ -34,33 +37,36 @@ def load_fixture_text(name: str) -> str:
     try:
         return path.read_text()
     except FileNotFoundError:
-        raise SystemExit("unknown fixture %r; available: %s"
-                         % (name, ", ".join(fixture_names())))
+        raise InputError("unknown fixture %r; available: %s"
+                         % (name, ", ".join(fixture_names()))) from None
 
 
 def _read_document(args):
     if args.fixture:
         text = load_fixture_text(args.fixture)
-    elif args.input:
-        with open(args.input) as fh:
-            text = fh.read()
     else:
-        text = sys.stdin.read()
+        try:
+            if args.input:
+                with open(args.input) as fh:
+                    text = fh.read()
+            else:
+                text = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError("cannot read input: %s" % exc) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit("input is not valid JSON: line %d column %d: %s"
-                         % (exc.lineno, exc.colno, exc.msg))
+        raise InputError("input is not valid JSON: line %d column %d: %s"
+                         % (exc.lineno, exc.colno, exc.msg)) from None
+    except RecursionError:
+        raise InputError("input JSON nests too deeply to decode") from None
     if not isinstance(raw, dict):
-        raise SystemExit("input must be a JSON object")
+        raise InputError("input must be a JSON object")
     if not isinstance(raw.get("functor"), dict):
-        raise SystemExit('input has no "functor" object')
+        raise InputError('input has no "functor" object')
     if args.field:
         raw["field"] = _field_flag(args.field)
-    try:
-        return load_document(raw)
-    except FieldError as exc:
-        raise SystemExit("field: %s" % exc)
+    return load_document(raw)
 
 
 def _field_flag(flag: str):
@@ -71,7 +77,7 @@ def _field_flag(flag: str):
             return {"Fp": int(flag.split(":", 1)[1])}
         except ValueError:
             pass
-    raise SystemExit("--field must be Q or Fp:<prime>")
+    raise InputError("--field must be Q or Fp:<prime>")
 
 
 def _emit(payload: dict, report: Report, as_json: bool) -> int:
@@ -229,7 +235,7 @@ def _dims_flag(flag: str):
         except ValueError:
             dim = 0
         if not atom.strip() or dim < 1:
-            raise SystemExit("--dims must be atom=<positive int>,..., got %r" % part)
+            raise InputError("--dims must be atom=<positive int>,..., got %r" % part)
         dims[atom.strip()] = dim
     return dims
 
@@ -237,11 +243,8 @@ def _dims_flag(flag: str):
 def cmd_coherence(args):
     dims = _dims_flag(args.dims) if args.dims else None
     report = Report()
-    try:
-        e1 = parse_expr(args.expr1)
-        e2 = parse_expr(args.expr2)
-    except ExprError as exc:
-        raise SystemExit("coherence: %s" % exc)
+    e1 = parse_expr(args.expr1)
+    e2 = parse_expr(args.expr2)
     if e1.domain != e2.domain or e1.codomain != e2.codomain:
         report.add(Check("boundary_words_match", False, residue="mismatch"))
         return _emit({}, report, args.json)
@@ -250,11 +253,8 @@ def cmd_coherence(args):
     payload = {"expr1": args.expr1.strip(), "expr2": args.expr2.strip(),
                "equal": equal}
     if dims is not None:
-        try:
-            m1 = eval_in_vec(e1, dims)
-            m2 = eval_in_vec(e2, dims)
-        except ExprError as exc:
-            raise SystemExit("--dims: %s" % exc)
+        m1 = eval_in_vec(e1, dims)
+        m2 = eval_in_vec(e2, dims)
         report.add(Check("matrix_evaluation_agrees", (m1 == m2) == equal,
                          "semantic disagreement"))
         payload["dims"] = dims
@@ -333,8 +333,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PresentationError as exc:
-        raise SystemExit("document: %s" % exc)
+    except InputError as exc:
+        if args.json:
+            print(json.dumps({"error": {"source": exc.source,
+                                        "message": str(exc)}}, indent=2))
+        else:
+            print("%s: %s" % (exc.source, exc) if exc.source else exc,
+                  file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

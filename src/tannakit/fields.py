@@ -9,8 +9,18 @@ scalars and on matrices is exact equality.  The shared text format is
 from fractions import Fraction
 
 
-class FieldError(ArithmeticError):
-    pass
+class InputError(ValueError):
+    """A rejected input; the CLI reports it as ``<source>: <message>``."""
+
+    source = None
+
+    def __init__(self, message, source=None):
+        super().__init__(message)
+        self.source = source or self.source
+
+
+class FieldError(InputError, ArithmeticError):
+    source = "field"
 
 
 # Miller–Rabin with the first 13 prime bases is exact below _MR_LIMIT, the
@@ -76,6 +86,8 @@ class Field:
             raise FieldError("scalar %r is not a string" % (text,))
         try:
             return self._parse(text.strip())
+        except FieldError:
+            raise
         except (ValueError, ZeroDivisionError):
             raise FieldError("malformed scalar %r over %s" % (text, self.name)) from None
 

@@ -20,17 +20,18 @@ expressions are ``id[a,b]``, ``swap[a,b;0]``, ``(e1 ; e2)`` for
 composition and ``(e1 * e2)`` for tensor.
 """
 
-from .fields import QQ
+from .fields import QQ, InputError
 from .linalg import (Matrix, curry, inverse, kron, kron_perm, perm_matrix,
                      swap_perm, uncurry)
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
 
 MAX_WORD_DIM = 1024  # largest word dimension eval_in_vec builds a matrix for
+MAX_EXPR_DEPTH = 200  # deepest parenthesis nesting parse_expr accepts
 
 
-class ExprError(ValueError):
-    pass
+class ExprError(InputError):
+    source = "coherence"
 
 
 class SymExpr:
@@ -134,16 +135,16 @@ def eval_in_vec(e: SymExpr, dims, field=QQ) -> Matrix:
     """
     for atom in set(e.domain) | set(e.codomain):
         if atom not in dims:
-            raise ExprError("no dimension assigned to atom %r" % atom)
+            raise ExprError("no dimension assigned to atom %r" % atom, "--dims")
         d = dims[atom]
         if not isinstance(d, int) or d < 1:
             raise ExprError("dimension of atom %r must be a positive integer, got %r"
-                            % (atom, d))
+                            % (atom, d), "--dims")
     size = 1
     for atom in e.domain:
         size *= dims[atom]
         if size > MAX_WORD_DIM:
-            raise ExprError("word dimension exceeds %d" % MAX_WORD_DIM)
+            raise ExprError("word dimension exceeds %d" % MAX_WORD_DIM, "--dims")
     return _eval(e, dims, field)
 
 
@@ -278,25 +279,29 @@ def format_expr(e: SymExpr) -> str:
 
 
 def parse_expr(text: str) -> SymExpr:
-    expr, rest = _parse(text.strip())
+    """Parse the canonical text form; nesting beyond ``MAX_EXPR_DEPTH``
+    raises ``ExprError``, so no recursion over the result can run out."""
+    expr, rest = _parse(text.strip(), 0)
     if rest.strip():
         raise ExprError("trailing input: %r" % rest)
     return expr
 
 
-def _parse(text):
+def _parse(text, depth):
     text = text.lstrip()
     if text.startswith("("):
-        left, rest = _parse(text[1:])
+        if depth == MAX_EXPR_DEPTH:
+            raise ExprError("expression nests deeper than %d" % MAX_EXPR_DEPTH)
+        left, rest = _parse(text[1:], depth + 1)
         rest = rest.lstrip()
         if rest.startswith(";"):
-            right, rest = _parse(rest[1:])
+            right, rest = _parse(rest[1:], depth + 1)
             rest = rest.lstrip()
             if not rest.startswith(")"):
                 raise ExprError("expected ')'")
             return Compose(left, right), rest[1:]
         if rest.startswith("*"):
-            right, rest = _parse(rest[1:])
+            right, rest = _parse(rest[1:], depth + 1)
             rest = rest.lstrip()
             if not rest.startswith(")"):
                 raise ExprError("expected ')'")

@@ -1,16 +1,21 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tannakit import (FiberFunctor, Matrix, PresentedCategory, QQ,
                       endvee_coalgebra, load_document, natvee, rref)
 from tannakit.cli import load_fixture_text
+from tannakit.linalg import kron_perm, perm_matrix, swap_perm
 
 
 FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
             "z2_function", "z2_function_f2"]
+
+DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
+                     "characters")
 
 
 def load_fixture(name):
@@ -202,6 +207,40 @@ def cyclic_document(n, p=None, perm=None, diag=None):
         "coalgebra": {"dim": n, "delta": delta,
                       "eps": [[str(int(k == 0)) for k in range(n)]]},
         "comodules": {"star": rho},
+    }
+
+
+def schur_weyl_document(d, k, p=None):
+    """S_j acting on (K^d)^{⊗j} by permuting factors, j = 0…k, over Q or
+    (``p``) F_p.
+
+    The objects are V_0…V_k with F(V_j) = (K^d)^{⊗j}.  On V_j the
+    generator ``s<j>_<i>`` (0 ≤ i < j−1) is the swap id⊗ψ⊗id of factors
+    i and i+1, and the relations are those of S_j: s² = id, the braid
+    relation for adjacent swaps and commutation for the others.  By
+    Schur–Weyl duality End^∨ is the degree-≤k part of O(M_d), of
+    dimension Σ_j C(d²+j−1, j), and it is not cocommutative.
+    """
+    generators, relations, matrices = [], [], {}
+    for j in range(k + 1):
+        obj = "V%d" % j
+        names = ["s%d_%d" % (j, i) for i in range(j - 1)]
+        for i, name in enumerate(names):
+            perm = kron_perm(kron_perm(range(d ** i), swap_perm(d, d)),
+                             range(d ** (j - i - 2)))
+            generators.append({"name": name, "src": obj, "dst": obj})
+            matrices[name] = perm_matrix(QQ, perm).to_strings()
+            relations.append([[name, name], {"at": obj}])
+        for (i, a), (l, b) in combinations(enumerate(names), 2):
+            relations.append([[a, b, a], [b, a, b]] if l == i + 1
+                             else [[a, b], [b, a]])
+    return {
+        "field": "Q" if p is None else {"Fp": p},
+        "objects": ["V%d" % j for j in range(k + 1)],
+        "generators": generators,
+        "relations": relations,
+        "functor": {"on_objects": {"V%d" % j: d ** j for j in range(k + 1)},
+                    "on_generators": matrices},
     }
 
 

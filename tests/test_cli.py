@@ -7,7 +7,7 @@ from tannakit import Matrix
 from tannakit.cli import load_fixture_text, main
 from tannakit.report import Check
 
-from conftest import FIXTURES, cyclic_document
+from conftest import DOCUMENT_COMMANDS, FIXTURES, cyclic_document
 
 BROKEN_DOC = {
     "field": "Q",
@@ -28,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def rejected(capsys, *argv):
+    """The one stderr line of a run that rejects its input with exit code 2."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err[:-1]
 
 
 def test_validate_fixture_passes(capsys):
@@ -77,13 +86,11 @@ def test_negative_object_dimension_fails_validation(tmp_path, capsys):
     ("[]", "input must be a JSON object"),
     ("{}", 'input has no "functor" object'),
 ])
-def test_document_without_functor_object_exits_with_one_line(monkeypatch, text,
-                                                             message):
+def test_document_without_functor_object_exits_with_one_line(monkeypatch, capsys,
+                                                             text, message):
     for command in ("validate", "reconstruct"):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        with pytest.raises(SystemExit) as info:
-            main([command, "--field", "Q"])
-        assert str(info.value.code) == message
+        assert rejected(capsys, command, "--field", "Q") == message
 
 
 def test_reconstruct_character_fixture_json(capsys):
@@ -179,38 +186,73 @@ def test_coherence_unequal_pair(capsys):
                                   "x=\u00b2", "x=2"])
 def test_coherence_bad_dims_exit_with_one_line(capsys, dims):
     # "x=2" leaves y without a dimension
-    with pytest.raises(SystemExit) as info:
-        main(["coherence", "swap[x,y;0]", "swap[x,y;0]", "--dims", dims])
-    message = str(info.value.code)
-    assert message.startswith("--dims") and "\n" not in message
+    message = rejected(capsys, "coherence", "swap[x,y;0]", "swap[x,y;0]",
+                       "--dims", dims)
+    assert message.startswith("--dims")
 
 
 def test_coherence_word_dimension_capped(capsys):
     word = ",".join(["x"] * 11)
-    with pytest.raises(SystemExit) as info:
-        main(["coherence", "id[%s]" % word, "id[%s]" % word, "--dims", "x=2"])
-    assert "word dimension exceeds" in str(info.value.code)
+    message = rejected(capsys, "coherence", "id[%s]" % word, "id[%s]" % word,
+                       "--dims", "x=2")
+    assert "word dimension exceeds" in message
 
 
 @pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
                                   "(id[a] ; id[b])"])
 def test_coherence_bad_expression_exits_with_one_line(capsys, expr):
-    with pytest.raises(SystemExit) as info:
-        main(["coherence", expr, "id[a,b]"])
-    message = str(info.value.code)
-    assert message.startswith("coherence:") and "\n" not in message
+    message = rejected(capsys, "coherence", expr, "id[a,b]")
+    assert message.startswith("coherence:")
+
+
+def test_coherence_nesting_is_capped(capsys):
+    expr = "id[a]"
+    for _ in range(1200):
+        expr = "(%s ; id[a])" % expr
+    message = rejected(capsys, "coherence", expr, "id[a]")
+    assert message == "coherence: expression nests deeper than 200"
 
 
 def test_unknown_fixture_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["validate", "--fixture", "no_such_fixture"])
+    message = rejected(capsys, "validate", "--fixture", "no_such_fixture")
+    assert message.startswith("unknown fixture 'no_such_fixture'; available: ")
+
+
+def test_unreadable_input_is_rejected(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        message = rejected(capsys, "validate", "--input", str(path))
+        assert message.startswith("cannot read input: [Errno ")
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    rejected(capsys, "validate", "--input", str(undecodable))
+
+
+def test_deeply_nested_json_is_rejected(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    assert (rejected(capsys, "validate")
+            == "input JSON nests too deeply to decode")
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["validate", "--fixture", "no_such_fixture"], None),
+    (["validate", "--fixture", "trivial", "--field", "F7"], None),
+    (["validate", "--fixture", "trivial", "--field", "Fp:4"], "field"),
+    (["coherence", "swap[a,b;x]", "id[a,b]"], "coherence"),
+    (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a=2"], "--dims"),
+])
+def test_json_error_carries_the_line(capsys, argv, source):
+    line = rejected(capsys, *argv)
+    assert main(argv + ["--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["source"] == source
+    assert line == ("%s: %s" % (source, error["message"]) if source
+                    else error["message"])
 
 
 @pytest.mark.parametrize("flag", ["Fp:x", "Fp:", "Fp:5.0", "F7"])
 def test_field_flag_rejects_malformed_modulus(capsys, flag):
-    with pytest.raises(SystemExit) as info:
-        main(["validate", "--fixture", "trivial", "--field", flag])
-    assert str(info.value.code) == "--field must be Q or Fp:<prime>"
+    message = rejected(capsys, "validate", "--fixture", "trivial", "--field", flag)
+    assert message == "--field must be Q or Fp:<prime>"
 
 
 def test_field_override(tmp_path, capsys):
@@ -270,22 +312,13 @@ def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("modulus", ["4", "3317044064679887385961981"])
 def test_unusable_modulus_exits_with_one_line(tmp_path, capsys, modulus):
-    with pytest.raises(SystemExit) as info:
-        main(["validate", "--fixture", "z2_character", "--field",
-              "Fp:" + modulus, "--json"])
-    message = str(info.value.code)
+    message = rejected(capsys, "validate", "--fixture", "z2_character",
+                       "--field", "Fp:" + modulus)
     assert message.startswith("field:") and modulus in message
-    assert "\n" not in message
     doc = dict(EMPTY_DOC, field={"Fp": int(modulus)})
     path = tmp_path / "bad_field.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as info:
-        main(["validate", "--input", str(path)])
-    assert str(info.value.code) == message
-
-
-DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
-                     "characters")
+    assert rejected(capsys, "validate", "--input", str(path)) == message
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -414,6 +447,7 @@ MALFORMED = [
     ("z2_character", _drop(("duality", "dual_of")), "document:"),
     ("z2_character", _set(("duality", "dual_of", "one"), "nowhere"), "document:"),
     ("z2_regular", _set(("field",), {"Fp": "x"}), "field:"),
+    ("trivial", _set(("objects",), ["I", "I"]), "document:"),
 ]
 
 
@@ -423,17 +457,27 @@ MALFORMED = [
     "objects-number", "generators-number", "one-sided-relation",
     "relation-unknown-generator", "relation-endpoints", "tensor-no-unit",
     "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
-    "field-modulus-text"])
+    "field-modulus-text", "duplicate-object"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
-def test_malformed_document_exits_with_one_line(monkeypatch, command, fixture,
-                                                mutate, prefix):
+def test_malformed_document_exits_with_one_line(monkeypatch, capsys, command,
+                                                fixture, mutate, prefix):
     doc = json.loads(load_fixture_text(fixture))
     mutate(doc)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    with pytest.raises(SystemExit) as info:
-        main([command, "--json"])
-    message = str(info.value.code)
+    assert main([command, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    message = "%s: %s" % (error["source"], error["message"])
     assert message.startswith(prefix) and "\n" not in message
+
+
+def test_missing_dimension_fails_every_command(monkeypatch, capsys):
+    doc = json.loads(load_fixture_text("z2_regular"))
+    del doc["functor"]["on_objects"]["star"]
+    for command in DOCUMENT_COMMANDS:
+        code, report = run_document(monkeypatch, capsys, command, doc)
+        assert code == 1 and not report["passed"]
+        assert report["checks"][0] == {"name": "object_dim:star",
+                                       "passed": False, "residue": "missing"}
 
 
 def test_non_square_s_is_not_invertible(monkeypatch, capsys):

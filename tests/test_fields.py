@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import GF, QQ, FieldError
+from tannakit import GF, QQ, FieldError, InputError
 from tannakit.fields import field_from_config
 
 
@@ -34,6 +34,12 @@ def test_prime_field_arithmetic():
         f5.inv(0)
     with pytest.raises(FieldError):
         f5.parse("1 mod 7")
+
+
+def test_field_error_is_an_input_error_with_its_own_message():
+    with pytest.raises(FieldError, match="wrong modulus for F5") as info:
+        GF(5).parse("1 mod 7")
+    assert isinstance(info.value, InputError) and info.value.source == "field"
 
 
 def test_prime_field_rejects_composite():

@@ -2,7 +2,7 @@ import pytest
 
 from tannakit import (Matrix, QQ, check_triangles, coherence_equal, dual_map,
                       eval_in_vec, kron, standard_pairing)
-from tannakit.moncat import (MAX_WORD_DIM, AdjacentSwap, Compose, DualPairing,
+from tannakit.moncat import (MAX_EXPR_DEPTH, MAX_WORD_DIM, AdjacentSwap, Compose, DualPairing,
                              ExprError, Identity, format_expr, parse_expr,
                              perm_of, transport_pairing)
 
@@ -246,3 +246,12 @@ def test_parse_errors():
                 "swap[a,b;x]", "swap[a,b;]", "swap[a,b;1.0]"]:
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+
+def test_parse_nesting_is_bounded():
+    expr = "id[a]"
+    for _ in range(MAX_EXPR_DEPTH):
+        expr = "(%s ; id[a])" % expr
+    assert perm_of(parse_expr(expr)) == (0,)
+    with pytest.raises(ExprError, match="nests deeper"):
+        parse_expr("(%s ; id[a])" % expr)
