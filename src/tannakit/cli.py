@@ -6,7 +6,11 @@ fixture via --fixture; --json switches to machine output.  The exit code
 is 0 when every check in the emitted report passes, 1 when one fails,
 and 2 when the input is rejected (an ``InputError``, reported only by
 ``main``): one ``<source>: <message>`` line on stderr, or with --json
-``{"error": {"source": ..., "message": ...}}`` on stdout.
+``{"error": {"source": ..., "message": ...}}`` on stdout.  A command line
+that argparse rejects is an ``InputError`` sourced ``usage``: without
+--json stderr shows argparse's own report of it (the usage line, then
+``<prog>: error: <message>``), and with --json anywhere on the command
+line it is the same JSON error.
 """
 
 import argparse
@@ -25,6 +29,13 @@ from .moncat import coherence_equal, eval_in_vec, parse_expr
 from .report import Check, Report, VerificationError
 from .tannaka import (endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       lift_functor, rho_tilde)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        exc = InputError(message, "usage")
+        exc.text = "%s%s: error: %s" % (self.format_usage(), self.prog, message)
+        raise exc
 
 
 def fixture_names():
@@ -302,7 +313,7 @@ def _add_doc_options(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tannakit",
         description="exact Tannaka reconstruction over presented categories")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -330,13 +341,18 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = "--json" in argv
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         return args.fn(args)
     except InputError as exc:
-        if args.json:
+        if as_json:
             print(json.dumps({"error": {"source": exc.source,
                                         "message": str(exc)}}, indent=2))
+        elif exc.source == "usage":
+            print(exc.text, file=sys.stderr)
         else:
             print("%s: %s" % (exc.source, exc) if exc.source else exc,
                   file=sys.stderr)

@@ -72,23 +72,20 @@ class CoendPresentation:
         """λ_C: F(C)⊗G(C)^∨ → quotient, the columns of proj at the block."""
         fd, gd = self.block_dims(obj)
         off = self.offsets[obj]
-        return Matrix(self.field, [row[off:off + fd * gd]
-                                   for row in self.proj.data], cols=fd * gd)
+        return self.proj.select_cols(range(off, off + fd * gd))
 
     def assemble_on_blocks(self, block_maps, codomain_dim) -> Matrix:
         """Glue per-object maps on ambient blocks into one map on the ambient."""
-        out = Matrix.zeros(self.field, codomain_dim, self.ambient_dim)
+        rows = [{} for _ in range(codomain_dim)]
         for obj, m in block_maps.items():
             fd, gd = self.block_dims(obj)
             if (m.rows, m.cols) != (codomain_dim, fd * gd):
                 raise ValueError("map on the block at %r is %dx%d, not %dx%d"
                                  % (obj, m.rows, m.cols, codomain_dim, fd * gd))
             off = self.offsets[obj]
-            for i in range(m.rows):
-                row = out.data[i]
-                for j in range(m.cols):
-                    row[off + j] = m.data[i][j]
-        return out
+            for row, block_row in zip(rows, m.sparse_rows()):
+                row.update((off + j, x) for j, x in block_row.items())
+        return Matrix.from_rows(self.field, rows, self.ambient_dim)
 
     def push_to_quotient(self, ambient_map: Matrix, name: str) -> Matrix:
         """Solve h∘π = ambient_map on the free columns, then verify.
@@ -110,8 +107,7 @@ class CoendPresentation:
         else:
             raise ValueError("%s has %d columns, not %d or %d"
                              % (name, ambient_map.cols, n, n * n))
-        candidate = Matrix(self.field, [[row[c] for c in cols]
-                                        for row in ambient_map.data], cols=len(cols))
+        candidate = ambient_map.select_cols(cols)
         if not (candidate @ proj == ambient_map):
             raise VerificationError(
                 "%s does not descend to the coend quotient "
@@ -150,24 +146,19 @@ def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
-        fmat = F.gen_matrix(g.name)
-        gmat = G.gen_matrix(g.name)
+        fcols = F.gen_matrix(g.name).sparse_cols()
+        grows = G.gen_matrix(g.name).sparse_rows()
         gd_src = G.dim(src)
         gd_dst = G.dim(dst)
         for i in range(F.dim(src)):
             for j in range(gd_dst):
-                row = {}
                 # block at src: e_i ⊗ G(f)^∨ e_j^∨,  G(f)^∨ e_j^∨ = row j of G(f)
-                for k in range(gd_src):
-                    coeff = gmat.data[j][k]
-                    if coeff != zero:
-                        row[offs[src] + i * gd_src + k] = coeff
+                row = {offs[src] + i * gd_src + k: coeff
+                       for k, coeff in grows[j].items()}
                 # block at dst: − F(f) e_i ⊗ e_j^∨,  F(f) e_i = column i
-                for l in range(F.dim(dst)):
-                    coeff = fmat.data[l][i]
-                    if coeff != zero:
-                        pos = offs[dst] + l * gd_dst + j
-                        row[pos] = field.sub(row.get(pos, zero), coeff)
+                for l, coeff in fcols[i].items():
+                    pos = offs[dst] + l * gd_dst + j
+                    row[pos] = field.sub(row.get(pos, zero), coeff)
                 rows.append(row)
     return ambient, rows
 
@@ -224,20 +215,17 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
     rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
-        fmat = F.gen_matrix(g.name)
-        gmat = G.gen_matrix(g.name)
+        fcols = F.gen_matrix(g.name).sparse_cols()
+        grows = G.gen_matrix(g.name).sparse_rows()
         for a in range(G.dim(dst)):
             for b in range(F.dim(src)):
-                row = {}
                 #  (θ_{dst} F(f))[a,b] = Σ_l θ_dst[a,l] F(f)[l,b]
-                for l in range(F.dim(dst)):
-                    if fmat.data[l][b] != zero:
-                        row[offs[dst] + a * F.dim(dst) + l] = fmat.data[l][b]
+                row = {offs[dst] + a * F.dim(dst) + l: coeff
+                       for l, coeff in fcols[b].items()}
                 #  −(G(f) θ_{src})[a,b] = −Σ_k G(f)[a,k] θ_src[k,b]
-                for k in range(G.dim(src)):
-                    if gmat.data[a][k] != zero:
-                        pos = offs[src] + k * F.dim(src) + b
-                        row[pos] = field.sub(row.get(pos, zero), gmat.data[a][k])
+                for k, coeff in grows[a].items():
+                    pos = offs[src] + k * F.dim(src) + b
+                    row[pos] = field.sub(row.get(pos, zero), coeff)
                 rows.append(row)
     ker = kernel_basis(rows, field, total)
     basis = []
@@ -299,21 +287,19 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
         gd = P_FG.block_dims(obj)[1]
         # nonzeros of λ_GH at G-index j, as (s, l, value)
         gh_nz = [[] for _ in range(gd)]
-        for s, row in enumerate(P_GH.lam(obj).data):
-            for col, y in enumerate(row):
-                if y != zero:
-                    j, l = divmod(col, hd)
-                    gh_nz[j].append((s, l, y))
-        block = Matrix.zeros(field, P_FG.quotient_dim * q_gh, fd * hd)
-        for r, row in enumerate(P_FG.lam(obj).data):
-            for col, x in enumerate(row):
-                if x == zero:
-                    continue
+        for s, row in enumerate(P_GH.lam(obj).sparse_rows()):
+            for col, y in row.items():
+                j, l = divmod(col, hd)
+                gh_nz[j].append((s, l, y))
+        block = [{} for _ in range(P_FG.quotient_dim * q_gh)]
+        for r, row in enumerate(P_FG.lam(obj).sparse_rows()):
+            for col, x in row.items():
                 i, j = divmod(col, gd)
                 for s, l, y in gh_nz[j]:
-                    brow = block.data[r * q_gh + s]
-                    brow[i * hd + l] = add(brow[i * hd + l], mul(x, y))
-        blocks[obj] = block
+                    brow = block[r * q_gh + s]
+                    c = i * hd + l
+                    brow[c] = add(brow.get(c, zero), mul(x, y))
+        blocks[obj] = Matrix.from_rows(field, block, fd * hd)
     codomain = P_FG.quotient_dim * q_gh
     ambient_map = P_FH.assemble_on_blocks(blocks, codomain)
     return P_FH.push_to_quotient(ambient_map, "cocomposition")
@@ -335,17 +321,11 @@ def pairing_bijection_report(P: CoendPresentation, N: EndSpace = None) -> Report
     rows = []
     families = []
     for k in range(q):
-        xi = Matrix.zeros(field, 1, q)
-        xi.data[0][k] = field.one()
+        xi = Matrix.from_rows(field, [{k: field.one()}], q)
         fam = pairing_to_nat(P, xi)
         families.append((xi, fam))
-        flat = []
-        for obj, fd, gd in P.object_index:
-            for row in fam[obj].data:
-                flat.extend(row)
-        rows.append(flat)
-    total = sum(fd * gd for _, fd, gd in P.object_index)
-    image_rank = rref(Matrix(field, rows, cols=total))[2] if q else 0
+        rows.append([x for obj, _, _ in P.object_index for x in fam[obj].entries()])
+    image_rank = rref(Matrix(field, rows, cols=P.ambient_dim))[2] if q else 0
     report.add(Check("pairing_rank_injective", image_rank == q, str(image_rank)))
     report.add(Check("pairing_rank_onto", image_rank == N.dim,
                      "%d vs %d" % (image_rank, N.dim)))

@@ -10,11 +10,17 @@ products associate left-to-right and are fully flattened.  All structural
 isomorphisms of the tensor product of spaces are identity reindexings
 under this convention.
 
+A ``Matrix`` is stored dense, as a list of rows, and only this module
+reads that layout: other modules build a matrix from sparse rows
+``{col: value}`` with ``Matrix.from_rows`` and read one through
+``sparse_rows``, ``sparse_cols``, ``entries``, ``select_rows`` and
+``select_cols``.  ``.data`` stays the writable dense face for tests.
+
 Permutations of basis vectors, such as the factor swap ψ: V⊗W → W⊗V, are
 index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
-``swap_perm`` and ``kron_perm`` build them, ``permute_cols`` applies one on
-the right of a matrix without building it, and ``perm_matrix`` builds the
-dense matrix only where a caller needs one.
+``swap_perm`` and ``kron_perm`` build them, ``Matrix.select_cols`` applies
+one on the right of a matrix without building it, and ``perm_matrix``
+builds the dense matrix only where a caller needs one.
 
 ``curry`` and ``uncurry`` are the tensor–hom adjunction Hom(V⊗W^∨, B) ≅
 Hom(V, B⊗W), ``curry(h)[b·w + j][i] = h[b][i·w + j]``: coevaluations,
@@ -35,6 +41,8 @@ only the rank rows or the kernel vectors dense, so a large system with a
 few nonzeros per row, such as the coend relations and the naturality
 equations of ``coend``, is never held as a dense matrix.
 """
+
+from itertools import chain
 
 from .fields import Field
 
@@ -73,10 +81,17 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
         one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
+        return cls.from_rows(field, [{i: one} for i in range(n)], n)
+
+    @classmethod
+    def from_rows(cls, field, rows, cols):
+        """The dense matrix of a list of sparse rows ``{col: value}`` with
+        ``cols`` columns; the inverse of ``sparse_rows``."""
+        m = cls.zeros(field, len(rows), cols)
+        for dense, row in zip(m.data, rows):
+            for j, x in row.items():
+                dense[j] = x
         return m
 
     @classmethod
@@ -123,9 +138,42 @@ class Matrix:
         f = self.field.format
         return [[f(x) for x in row] for row in self.data]
 
-    def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+    # -- the sparse view and selections ---------------------------------
+
+    def entries(self):
+        """Every entry, row by row, as one iterator."""
+        return chain.from_iterable(self.data)
+
+    def sparse_rows(self):
+        """Each row as ``{col: value}`` over its nonzero entries."""
+        zero = self.field.zero()
+        return [{j: x for j, x in enumerate(row) if x != zero} for row in self.data]
+
+    def sparse_cols(self):
+        """Each column as ``{row: value}`` over its nonzero entries; the
+        sparse rows of the transpose."""
+        zero = self.field.zero()
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                if x != zero:
+                    cols[j][i] = x
+        return cols
+
+    def select_rows(self, indices):
+        """Row r of the result is row ``indices[r]`` of self."""
+        return Matrix(self.field, [self.data[i] for i in indices], cols=self.cols)
+
+    def select_cols(self, indices):
+        """Column j of the result is column ``indices[j]`` of self.  For a
+        permutation this is ``self @ perm_matrix(field, indices)``, and for a
+        range it is a block of columns, sliced out of each row."""
+        if isinstance(indices, range) and indices.step == 1:
+            block = slice(indices.start, indices.stop)
+            rows = [row[block] for row in self.data]
+        else:
+            rows = [[row[c] for c in indices] for row in self.data]
+        return Matrix(self.field, rows, cols=len(indices))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -171,11 +219,7 @@ class Matrix:
         return out
 
     def transpose(self):
-        out = Matrix.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
+        return Matrix.from_rows(self.field, self.sparse_cols(), self.rows)
 
     def apply(self, vec):
         """Image of a coordinate vector (list of scalars)."""
@@ -203,21 +247,19 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product under the fixed index convention."""
     field = a.field
     mul = field.mul
-    zero, one = field.zero(), field.one()
+    one = field.one()
     out = Matrix.zeros(field, a.rows * b.rows, a.cols * b.cols)
-    bnz = [[(l, v) for l, v in enumerate(row) if v != zero] for row in b.data]
-    for i, arow in enumerate(a.data):
-        for j, x in enumerate(arow):
-            if x == zero:
-                continue
+    bnz = b.sparse_rows()
+    for i, arow in enumerate(a.sparse_rows()):
+        for j, x in arow.items():
             base = j * b.cols
             for k in range(b.rows):
                 orow = out.data[i * b.rows + k]
                 if x == one:
-                    for l, v in bnz[k]:
+                    for l, v in bnz[k].items():
                         orow[base + l] = v
                 else:
-                    for l, v in bnz[k]:
+                    for l, v in bnz[k].items():
                         orow[base + l] = mul(x, v)
     return out
 
@@ -234,23 +276,17 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
                          % (a.rows, a.cols, b.rows, b.cols, m.rows, m.cols))
     field = a.field
     add, mul = field.add, field.mul
-    zero = field.zero()
-    acols = [[(i, row[j]) for i, row in enumerate(a.data) if row[j] != zero]
-             for j in range(a.cols)]
-    bcols = [[(k, row[l]) for k, row in enumerate(b.data) if row[l] != zero]
-             for l in range(b.cols)]
+    acols, bcols = a.sparse_cols(), b.sparse_cols()
     out = Matrix.zeros(field, a.rows * b.rows, m.cols)
-    for r, mrow in enumerate(m.data):
+    for r, mrow in enumerate(m.sparse_rows()):
         j, l = divmod(r, b.cols)
         acol, bcol = acols[j], bcols[l]
         if not acol or not bcol:
             continue
-        for c, v in enumerate(mrow):
-            if v == zero:
-                continue
-            for i, x in acol:
+        for c, v in mrow.items():
+            for i, x in acol.items():
                 xv = mul(x, v)
-                for k, y in bcol:
+                for k, y in bcol.items():
                     orow = out.data[i * b.rows + k]
                     orow[c] = add(orow[c], mul(xv, y))
     return out
@@ -300,23 +336,11 @@ def kron_perm(p, q) -> tuple:
     return tuple(i * n + j for i in p for j in q)
 
 
-def permute_cols(m: Matrix, perm) -> Matrix:
-    """``m @ P`` for the permutation P: column j of the result is column
-    ``perm[j]`` of m."""
-    if len(perm) != m.cols:
-        raise ValueError("permutation of %d indices after a matrix with %d columns"
-                         % (len(perm), m.cols))
-    return Matrix(m.field, [[row[p] for p in perm] for row in m.data],
-                  cols=m.cols)
-
-
 def perm_matrix(field, perm) -> Matrix:
     """Dense matrix of the permutation sending e_j to e_perm[j]."""
-    out = Matrix.zeros(field, len(perm), len(perm))
     one = field.one()
-    for j, p in enumerate(perm):
-        out.data[p][j] = one
-    return out
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return Matrix.from_rows(field, [{j: one} for j in inverse], len(perm))
 
 
 # -- echelon forms and subspaces --------------------------------------
@@ -400,13 +424,10 @@ def rref(m: Matrix):
     ``m.rows`` rows, the rank rows first.  The RREF is the unique one,
     so it doubles as a canonical form for row spaces.
     """
-    pivot_rows = _eliminate(m.field, _sparse_rows(m.field, m.cols, m.data))
+    pivot_rows = _eliminate(m.field, m.sparse_rows())
     pivots = tuple(sorted(pivot_rows))
-    out = Matrix.zeros(m.field, m.rows, m.cols)
-    for orow, p in zip(out.data, pivots):
-        for j, x in pivot_rows[p].items():
-            orow[j] = x
-    return out, pivots, len(pivots)
+    echelon = [pivot_rows[p] for p in pivots] + [{}] * (m.rows - len(pivots))
+    return Matrix.from_rows(m.field, echelon, m.cols), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -461,7 +482,7 @@ def kernel_basis(f, field=None, cols=None) -> SubspaceBasis:
     returned in RREF.
     """
     if isinstance(f, Matrix):
-        field, cols, f = f.field, f.cols, f.data
+        field, cols, f = f.field, f.cols, f.sparse_rows()
     pivot_rows = _eliminate(field, _sparse_rows(field, cols, f))
     one = field.one()
     kernel = {c: {c: one} for c in range(cols) if c not in pivot_rows}
@@ -512,12 +533,10 @@ def quotient(ambient_dim: int, relations: SubspaceBasis):
     pivots = relations.pivots()
     pivot_set = set(pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    proj = Matrix.zeros(field, len(free), ambient_dim)
     one = field.one()
-    for i, c in enumerate(free):
-        proj.data[i][c] = one
-    for row, p in zip(relations.vectors, pivots):
-        # e_p ≡ -Σ_{free n} row[n]·e_n modulo the relations
-        for i, n in enumerate(free):
-            proj.data[i][p] = field.neg(row[n])
-    return proj, free
+    rows = [{c: one} for c in free]
+    for vec, p in zip(relations.vectors, pivots):
+        # e_p ≡ -Σ_{free n} vec[n]·e_n modulo the relations
+        for row, n in zip(rows, free):
+            row[p] = field.neg(vec[n])
+    return Matrix.from_rows(field, rows, ambient_dim), free

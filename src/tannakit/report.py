@@ -80,11 +80,8 @@ class VerificationError(Exception):
 def max_norm(diff: Matrix) -> str:
     """Max-norm of a difference matrix as a scalar string ("0" iff zero)."""
     field = diff.field
-    entries = [x for row in diff.data for x in row]
-    if not entries:
-        return "0"
-    worst = max(entries, key=field.abs_key)
-    if field.is_zero(worst):
+    worst = max(diff.entries(), key=field.abs_key, default=None)
+    if worst is None or field.is_zero(worst):
         return "0"
     return field.format(worst)
 
@@ -95,5 +92,5 @@ def check_equal(name: str, lhs: Matrix, rhs: Matrix) -> Check:
         return Check(name, False, "shape",
                      detail={"lhs_shape": [lhs.rows, lhs.cols],
                              "rhs_shape": [rhs.rows, rhs.cols]})
-    diff = lhs - rhs
-    return Check(name, diff.is_zero(), max_norm(diff))
+    residue = max_norm(lhs - rhs)
+    return Check(name, residue == "0", residue)

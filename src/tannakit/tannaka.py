@@ -32,7 +32,7 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule_morphism, convolve_functionals)
 from .linalg import (Matrix, SubspaceBasis, curry, inverse, kron, kron_apply,
-                     kron_perm, permute_cols, swap_perm, uncurry)
+                     kron_perm, swap_perm, uncurry)
 from .report import Check, Report, VerificationError, check_equal
 
 
@@ -51,7 +51,7 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
     field = P.field
     amb = P.ambient_dim
     q = P.quotient_dim
-    mmap = Matrix.zeros(field, q, amb * amb)
+    rows = [{} for _ in range(q)]
     for c, dc, _ in P.object_index:
         for d, dd, _ in P.object_index:
             smap = T.s_map(c, d)
@@ -59,16 +59,14 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
             if sinv is None:
                 raise VerificationError("comparison s at (%s, %s) is singular" % (c, d))
             mid = kron_perm(kron_perm(range(dc), swap_perm(dc, dd)), range(dd))
-            block = permute_cols(P.lam(T.obj(c, d)) @ kron(smap, sinv.transpose()),
-                                 mid)
+            block = (P.lam(T.obj(c, d))
+                     @ kron(smap, sinv.transpose())).select_cols(mid)
             offc, offd = P.offsets[c], P.offsets[d]
-            for a in range(dc * dc):
-                for b in range(dd * dd):
-                    src = a * (dd * dd) + b
-                    dst = (offc + a) * amb + (offd + b)
-                    for r in range(q):
-                        mmap.data[r][dst] = block.data[r][src]
-    m = P.push_to_quotient(mmap, "multiplication")
+            for row, block_row in zip(rows, block.sparse_rows()):
+                for src, x in block_row.items():
+                    a, b = divmod(src, dd * dd)
+                    row[(offc + a) * amb + offd + b] = x
+    m = P.push_to_quotient(Matrix.from_rows(field, rows, amb * amb), "multiplication")
     f = T.f_unit
     finv = inverse(f)
     if finv is None:
@@ -92,7 +90,7 @@ def endvee_antipode(cat, F, T, D, P: CoendPresentation,
         ddual = F.dim(dual)
         eta_vec, eps_vec = duality_pairing_vec(cat, F, T, D, obj)
         iota, iota_p = curry(eps_vec, d, ddual), uncurry(eta_vec, ddual, d)
-        blocks[obj] = (permute_cols(P.lam(dual), swap_perm(ddual, ddual))
+        blocks[obj] = (P.lam(dual).select_cols(swap_perm(ddual, ddual))
                        @ kron(iota, iota_p))
     ambient_map = P.assemble_on_blocks(blocks, P.quotient_dim)
     antipode = P.push_to_quotient(ambient_map, "antipode")
@@ -213,8 +211,8 @@ def comodule_morphism_space(com1: ComoduleData, com2: ComoduleData):
     def block_rows(com):
         d = com.space_dim
         return FiberFunctor(com.field, {"*": d},
-                            {str(b): Matrix(com.field, com.rho.data[b * d:(b + 1) * d],
-                                            cols=d) for b in blocks})
+                            {str(b): com.rho.select_rows(range(b * d, (b + 1) * d))
+                             for b in blocks})
 
     return [family["*"] for family
             in nat_space(cat, block_rows(com1), block_rows(com2)).basis]
@@ -223,43 +221,32 @@ def comodule_morphism_space(com1: ComoduleData, com2: ComoduleData):
 def morphism_image_span(cat, F, src, dst):
     """Span of F-images of all paths src → dst in the presentation.
 
-    Computed by closing the generator images under left composition
-    until every span stabilizes; termination is forced by the dimension
-    bound on each span.
+    Left composition by a generator b → c sends the paths src → b to paths
+    src → c, so only the spans out of src are closed: one per object,
+    seeded with the identity at src and grown by the generator images
+    until none grows; termination is forced by the dimension bound on
+    each span.  Each span holds the row-major entries of its matrices.
     """
     field = F.field
-    spans = {}
+    d_src = F.dim(src)
 
-    def ensure(a, b):
-        if (a, b) not in spans:
-            spans[(a, b)] = SubspaceBasis(field, F.dim(b) * F.dim(a), [])
-        return spans[(a, b)]
+    def unflatten(vec, obj):
+        return Matrix(field, [vec[r * d_src:(r + 1) * d_src]
+                              for r in range(F.dim(obj))], cols=d_src)
 
-    def add(a, b, mat):
-        span = ensure(a, b)
-        grown = SubspaceBasis(field, span.ambient_dim,
-                              span.vectors + [[x for row in mat.data for x in row]])
-        spans[(a, b)] = grown
-        return grown.dim > span.dim
-
-    for obj in cat.objects:
-        add(obj, obj, Matrix.identity(field, F.dim(obj)))
+    spans = {obj: SubspaceBasis(field, F.dim(obj) * d_src, []) for obj in cat.objects}
+    spans[src] = SubspaceBasis(field, d_src * d_src,
+                               [list(Matrix.identity(field, d_src).entries())])
     changed = True
     while changed:
         changed = False
-        for (a, b), span in list(spans.items()):
-            for g in cat.generators:
-                if g.src != b:
-                    continue
-                gm = F.gen_matrix(g.name)
-                for vec in span.vectors:
-                    d_b, d_a = F.dim(b), F.dim(a)
-                    mat = Matrix(field, [vec[r * d_a:(r + 1) * d_a]
-                                         for r in range(d_b)], cols=d_a)
-                    if add(a, g.dst, gm @ mat):
-                        changed = True
-    span = ensure(src, dst)
-    d_dst, d_src = F.dim(dst), F.dim(src)
-    return [Matrix(field, [vec[r * d_src:(r + 1) * d_src] for r in range(d_dst)],
-                   cols=d_src)
-            for vec in span.vectors]
+        for g in cat.generators:
+            gm = F.gen_matrix(g.name)
+            images = [list((gm @ unflatten(vec, g.src)).entries())
+                      for vec in spans[g.src].vectors]
+            span = spans[g.dst]
+            grown = SubspaceBasis(field, span.ambient_dim, span.vectors + images)
+            if grown.dim > span.dim:
+                spans[g.dst] = grown
+                changed = True
+    return [unflatten(vec, dst) for vec in spans[dst].vectors]

@@ -6,9 +6,8 @@ from itertools import combinations
 import pytest
 
 from tannakit import (FiberFunctor, Matrix, PresentedCategory, QQ,
-                      endvee_coalgebra, load_document, natvee, rref)
+                      endvee_coalgebra, kron, load_document, natvee, rref)
 from tannakit.cli import load_fixture_text
-from tannakit.linalg import kron_perm, perm_matrix, swap_perm
 
 
 FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
@@ -167,6 +166,13 @@ def dense_comodule_maps(com1, com2):
             for vec in kernel]
 
 
+def scalar_text(x, p=None):
+    """A rational as a document scalar over Q, or (``p``) reduced mod p."""
+    if p is None:
+        return str(x)
+    return str(x.numerator * pow(x.denominator, p - 2, p) % p)
+
+
 def cyclic_document(n, p=None, perm=None, diag=None):
     """Z/n acting on K^n by g = M C M^{-1}, over Q or (``p``) F_p.
 
@@ -179,11 +185,6 @@ def cyclic_document(n, p=None, perm=None, diag=None):
     perm = list(range(n)) if perm is None else perm
     diag = [1] * n if diag is None else diag
 
-    def fmt(x):
-        if p is None:
-            return str(x)
-        return str(x.numerator * pow(x.denominator, p - 2, p) % p)
-
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
@@ -191,7 +192,7 @@ def cyclic_document(n, p=None, perm=None, diag=None):
     rho = []
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(n):
-        rho.extend([[fmt(x) for x in row] for row in power])
+        rho.extend([[scalar_text(x, p) for x in row] for row in power])
         power = [[sum(g[i][t] * power[t][j] for t in range(n))
                   for j in range(n)] for i in range(n)]
     delta = [[str(int((a + b) % n == k)) for k in range(n)]
@@ -202,7 +203,7 @@ def cyclic_document(n, p=None, perm=None, diag=None):
         "generators": [{"name": "g", "src": "star", "dst": "star"}],
         "relations": [[["g"] * n, {"at": "star"}]],
         "functor": {"on_objects": {"star": n},
-                    "on_generators": {"g": [[fmt(x) for x in row]
+                    "on_generators": {"g": [[scalar_text(x, p) for x in row]
                                             for row in g]}},
         "coalgebra": {"dim": n, "delta": delta,
                       "eps": [[str(int(k == 0)) for k in range(n)]]},
@@ -210,27 +211,41 @@ def cyclic_document(n, p=None, perm=None, diag=None):
     }
 
 
-def schur_weyl_document(d, k, p=None):
-    """S_j acting on (K^d)^{⊗j} by permuting factors, j = 0…k, over Q or
-    (``p``) F_p.
+# Generators on K²⊗K², basis e_a⊗e_b at index 2a + b.  SWAP is the factor
+# swap; FRT_R is the R-matrix Ř of GL_q(2) at q = 2 (Faddeev, Reshetikhin &
+# Takhtajan 1990); SUPER_SWAP is the signed swap on K^{1|1} with e_1 odd,
+# e_a⊗e_b ↦ (−1)^{|a||b|} e_b⊗e_a (Sergeev duality).
+SWAP = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+FRT_R = [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, Fraction(3, 2), 0], [0, 0, 0, 2]]
+SUPER_SWAP = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
 
-    The objects are V_0…V_k with F(V_j) = (K^d)^{⊗j}.  On V_j the
-    generator ``s<j>_<i>`` (0 ≤ i < j−1) is the swap id⊗ψ⊗id of factors
-    i and i+1, and the relations are those of S_j: s² = id, the braid
-    relation for adjacent swaps and commutation for the others.  By
-    Schur–Weyl duality End^∨ is the degree-≤k part of O(M_d), of
-    dimension Σ_j C(d²+j−1, j), and it is not cocommutative.
+
+def schur_weyl_document(k, p=None, r=SWAP):
+    """A generator r on K²⊗K² acting on the tensor powers (K²)^{⊗j},
+    j = 0…k, over Q or (``p``) F_p.
+
+    The objects are V_0…V_k with F(V_j) = (K²)^{⊗j}.  On V_j the generator
+    ``s<j>_<i>`` (0 ≤ i < j−1) is id⊗r⊗id on factors i and i+1.  The
+    relations are the braid relation for adjacent generators, commutation
+    for the others, and s² = id when r² = id: for the swap, those of S_j.
+    By Schur–Weyl duality End^∨ of the swap is the degree-≤k part of
+    O(M_2), of dimension Σ_j C(j+3, 3); FRT_R gives the same dimensions
+    (the degree-≤k part of A(R)), and SUPER_SWAP gives Σ_j dim S^j(K^{2|2}).
+    None of the three is cocommutative.
     """
+    r = Matrix(QQ, [[Fraction(x) for x in row] for row in r])
+    involutive = r @ r == Matrix.identity(QQ, 4)
     generators, relations, matrices = [], [], {}
     for j in range(k + 1):
         obj = "V%d" % j
         names = ["s%d_%d" % (j, i) for i in range(j - 1)]
         for i, name in enumerate(names):
-            perm = kron_perm(kron_perm(range(d ** i), swap_perm(d, d)),
-                             range(d ** (j - i - 2)))
+            g = kron(kron(Matrix.identity(QQ, 2 ** i), r),
+                     Matrix.identity(QQ, 2 ** (j - i - 2)))
             generators.append({"name": name, "src": obj, "dst": obj})
-            matrices[name] = perm_matrix(QQ, perm).to_strings()
-            relations.append([[name, name], {"at": obj}])
+            matrices[name] = [[scalar_text(x, p) for x in row] for row in g.data]
+            if involutive:
+                relations.append([[name, name], {"at": obj}])
         for (i, a), (l, b) in combinations(enumerate(names), 2):
             relations.append([[a, b, a], [b, a, b]] if l == i + 1
                              else [[a, b], [b, a]])
@@ -239,7 +254,7 @@ def schur_weyl_document(d, k, p=None):
         "objects": ["V%d" % j for j in range(k + 1)],
         "generators": generators,
         "relations": relations,
-        "functor": {"on_objects": {"V%d" % j: d ** j for j in range(k + 1)},
+        "functor": {"on_objects": {"V%d" % j: 2 ** j for j in range(k + 1)},
                     "on_generators": matrices},
     }
 

@@ -1,9 +1,11 @@
+import argparse
 import io
 import json
 
 import pytest
 
 from tannakit import Matrix
+from tannakit import cli
 from tannakit.cli import load_fixture_text, main
 from tannakit.report import Check
 
@@ -247,6 +249,42 @@ def test_json_error_carries_the_line(capsys, argv, source):
     assert error["source"] == source
     assert line == ("%s: %s" % (source, error["message"]) if source
                     else error["message"])
+
+
+USAGE_ERRORS = [
+    (["validate", "--fixture", "trivial", "--bogus"], "unrecognized arguments: --bogus"),
+    (["nat", "--field"], "argument --field: expected one argument"),
+    (["coherence", "id[a]"], "the following arguments are required: expr2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["unknown", "value", "missing"])
+def test_usage_error_keeps_the_argparse_report(monkeypatch, capsys, argv, message):
+    assert main(argv) == 2
+    ours = capsys.readouterr()
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert (ours.out, ours.err) == ("", capsys.readouterr().err)
+    assert ours.err.endswith(": error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["unknown", "value", "missing"])
+def test_usage_error_under_json_is_a_json_error(capsys, argv, message):
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": {"source": "usage",
+                                                  "message": message}}
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["nat", "--help", "--json"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tannakit")
 
 
 @pytest.mark.parametrize("flag", ["Fp:x", "Fp:", "Fp:5.0", "F7"])

@@ -1,12 +1,15 @@
+import ast
+import os
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import tannakit
 from tannakit import GF, Matrix, QQ, kron, load_document, rank, rref
 from tannakit.coend import relation_vectors
 from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
-                             kron_apply, kron_perm, perm_matrix, permute_cols,
+                             kron_apply, kron_perm, perm_matrix,
                              quotient, solve_matrix, swap_perm, uncurry)
 
 from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
@@ -131,6 +134,41 @@ def test_rref_matches_dense_rref_on_relation_shapes(rng, field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_sparse_view_and_selections_match_dense_references(rng, field):
+    shapes = relation_shaped(field, rng) + [Matrix.zeros(field, 0, 4),
+                                            Matrix.zeros(field, 3, 0)]
+    for m in shapes:
+        assert Matrix.from_rows(field, m.sparse_rows(), m.cols) == m
+        assert m.sparse_rows() == sparse_rows(m)
+        assert m.sparse_cols() == m.transpose().sparse_rows()
+        assert list(m.entries()) == [x for row in m.data for x in row]
+        perm = list(range(m.cols))
+        rng.shuffle(perm)
+        assert m.select_cols(perm) == m @ perm_matrix(field, perm)
+        rows = list(range(m.rows))
+        rng.shuffle(rows)
+        assert m.select_rows(rows) == perm_matrix(field, rows).transpose() @ m
+        block = range(m.cols // 3, m.cols)
+        assert m.select_cols(block) == Matrix(field, [row[block.start:] for row in m.data],
+                                              cols=len(block))
+
+
+def test_only_linalg_reads_the_dense_layout():
+    """The dense list-of-lists layout of ``Matrix`` is linalg's decision:
+    every other module goes through the sparse view and the selections."""
+    package = os.path.dirname(os.path.abspath(tannakit.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "linalg.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "data"]
+    assert found == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
 def test_subspace_and_kernel_match_dense_references(rng, field):
     for m in relation_shaped(field, rng):
         ech, pivots, rank_m = dense_rref(m)
@@ -224,7 +262,7 @@ def test_swap_perm_inverse():
             assert tuple(t[i] for i in s) == tuple(range(a * b))
 
 
-def test_permute_cols_matches_dense_product(rng):
+def test_select_cols_matches_dense_product(rng):
     for field in (QQ, GF(7)):
         for a, b, left, right in [(2, 3, 1, 1), (3, 2, 2, 1), (2, 2, 1, 3), (1, 4, 2, 2)]:
             perm = kron_perm(kron_perm(range(left), swap_perm(a, b)), range(right))
@@ -232,7 +270,7 @@ def test_permute_cols_matches_dense_product(rng):
             dense = kron(kron(Matrix.identity(field, left), dense_swap(field, a, b)),
                          Matrix.identity(field, right))
             A = rand_matrix(rng, field, rng.randint(1, 4), n, denom=True)
-            assert permute_cols(A, perm) == A @ dense
+            assert A.select_cols(perm) == A @ dense
 
 
 def test_kron_perm_matches_dense_kron():
@@ -243,11 +281,6 @@ def test_kron_perm_matches_dense_kron():
                           (range(3), Matrix.identity(field, 3)),
                           (swap_perm(1, 3), dense_swap(field, 1, 3))]:
                 assert perm_matrix(field, kron_perm(p, q)) == kron(dp, dq)
-
-
-def test_permute_cols_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        permute_cols(Matrix.identity(QQ, 3), (1, 0))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])

@@ -1,10 +1,10 @@
-"""Schur–Weyl: End^∨ of the symmetric groups acting on the tensor powers
-of K^d is the degree-≤k part of O(M_d), a coalgebra that is not
+"""Schur–Weyl and its quantum and super versions: End^∨ of a braiding on
+the tensor powers of K² is the degree-≤k part of O(M_2), of the FRT
+bialgebra of GL_q(2), or of O(M(1|1)).  None of these coalgebras is
 cocommutative, so an orientation error in Δ shows here."""
 
 import io
 import json
-from math import comb
 
 import pytest
 
@@ -12,7 +12,7 @@ from tannakit import GF, QQ, Matrix
 from tannakit.cli import main
 from tannakit.linalg import swap_perm
 
-from conftest import schur_weyl_document
+from conftest import FRT_R, SUPER_SWAP, SWAP, schur_weyl_document
 
 
 def run_passing(monkeypatch, capsys, command, doc):
@@ -23,13 +23,22 @@ def run_passing(monkeypatch, capsys, command, doc):
     return out
 
 
-@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
-def test_schur_weyl_2_2_reconstruction(monkeypatch, capsys, p):
-    d, k = 2, 2
-    doc = schur_weyl_document(d, k, p)
+# generator on K²⊗K², dim End^∨ at k = 2, at k = 3
+FAMILIES = {"swap": (SWAP, 15, 35), "frt": (FRT_R, 15, 35),
+            "super": (SUPER_SWAP, 13, 25)}
+
+
+@pytest.mark.parametrize("family, p", [("swap", None), ("swap", 101),
+                                       ("frt", None), ("frt", 101),
+                                       ("super", None), ("super", 101)],
+                         ids=["Q", "F101", "frt-Q", "frt-F101",
+                              "super-Q", "super-F101"])
+def test_schur_weyl_2_2_reconstruction(monkeypatch, capsys, family, p):
+    r, dim_2, _ = FAMILIES[family]
+    doc = schur_weyl_document(2, p, r)
     rec = run_passing(monkeypatch, capsys, "reconstruct", doc)
     dim = rec["quotient_dim"]
-    assert dim == sum(comb(d * d + j - 1, j) for j in range(k + 1)) == 15
+    assert dim == dim_2
 
     delta = rec["structure"]["delta"]
     psi_delta = [None] * len(delta)
@@ -46,5 +55,12 @@ def test_schur_weyl_2_2_reconstruction(monkeypatch, capsys, p):
 
 
 def test_schur_weyl_2_3_nat_matches_endvee(monkeypatch, capsys):
-    out = run_passing(monkeypatch, capsys, "nat", schur_weyl_document(2, 3, 101))
+    out = run_passing(monkeypatch, capsys, "nat", schur_weyl_document(3, 101))
     assert out["coend_dim"] == out["nat_dim"] == 35
+
+
+@pytest.mark.parametrize("family", ["frt", "super"])
+def test_quantum_and_super_nat_at_degree_3(monkeypatch, capsys, family):
+    r, _, dim_3 = FAMILIES[family]
+    out = run_passing(monkeypatch, capsys, "nat", schur_weyl_document(3, 101, r))
+    assert out["coend_dim"] == out["nat_dim"] == dim_3
