@@ -10,11 +10,13 @@ and 2 when the input is rejected (an ``InputError``, reported only by
 that argparse rejects is an ``InputError`` sourced ``usage``: without
 --json stderr shows argparse's own report of it (the usage line, then
 ``<prog>: error: <message>``), and with --json anywhere on the command
-line it is the same JSON error.
+line it is the same JSON error.  A stdout closed by its reader ends the
+run with 141 (see ``main``).
 """
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -25,7 +27,7 @@ from .fields import InputError
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
 from .linalg import rank
-from .moncat import coherence_equal, eval_in_vec, parse_expr
+from .moncat import coherence_equal, eval_in_vec, evaluations_equal, parse_expr
 from .report import Check, Report, VerificationError
 from .tannaka import (endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       lift_functor, rho_tilde)
@@ -246,7 +248,9 @@ def _dims_flag(flag: str):
         except ValueError:
             dim = 0
         if not atom.strip() or dim < 1:
-            raise InputError("--dims must be atom=<positive int>,..., got %r" % part)
+            raise InputError("must be atom=<positive int>,..., got %r" % part, "--dims")
+        if atom.strip() in dims:
+            raise InputError("atom %r is given twice" % atom.strip(), "--dims")
         dims[atom.strip()] = dim
     return dims
 
@@ -266,7 +270,8 @@ def cmd_coherence(args):
     if dims is not None:
         m1 = eval_in_vec(e1, dims)
         m2 = eval_in_vec(e2, dims)
-        report.add(Check("matrix_evaluation_agrees", (m1 == m2) == equal,
+        report.add(Check("matrix_evaluation_agrees",
+                         (m1 == m2) == evaluations_equal(e1, e2, dims),
                          "semantic disagreement"))
         payload["dims"] = dims
     return _emit(payload, report, args.json)
@@ -341,6 +346,23 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    A reader that closes stdout early ends the run with 141 (128 +
+    SIGPIPE, what a shell reports for ``yes | head``) and nothing more:
+    stdout is pointed at ``os.devnull``, so the flush at exit cannot fail
+    again, as the ``signal`` module's documentation recommends.
+    """
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(argv):
     argv = sys.argv[1:] if argv is None else argv
     as_json = "--json" in argv
     try:

@@ -8,14 +8,17 @@ suffice: the relation vector of a composite splits as a sum of generator
 relations, and identities contribute zero (unit-tested).  Each relation
 has at most dim G(C) + dim F(C') nonzeros in an ambient space of
 dimension Σ_C dim F(C)·dim G(C), so ``natvee`` builds the relations as
-sparse rows and hands them to ``SubspaceBasis``, which stores only the
-rank rows.  ``relation_vectors`` returns the same relations as dense
-lists; nothing in the package calls it, and it stays as an independent
-input for the rank and span oracles of the tests.
+sparse rows and hands them to ``SubspaceBasis``, which keeps its rank
+rows sparse; ``quotient`` reads them as they are, and only the
+projection and the maps out of the quotient are dense ``Matrix`` values.
+``relation_vectors`` returns the same relations as dense lists; nothing
+in the package calls it, and it stays as an independent input for the
+rank oracles of the tests.
 
 ``nat_space`` computes Nat(F, G) on the other side of the predual pairing
 as the solution space of the naturality equations, which it builds as
-sparse rows for ``kernel_basis`` in the same way.  The pairing between
+sparse rows for ``kernel_basis`` in the same way; θ_C is uncurry of the
+block of a kernel vector at C.  The pairing between
 the two is the tensor–hom adjunction: ``pairing_to_nat`` curries ξ∘λ_C
 and ``nat_to_pairing`` uncurries θ_C (``linalg.curry``/``uncurry``), and
 the coevaluation η_C is curry(λ_C).
@@ -115,11 +118,10 @@ class CoendPresentation:
         return candidate
 
     def kills_relations(self, ambient_map: Matrix) -> bool:
-        zero = self.field.zero()
-        for rel in self.relation_span.vectors:
-            if any(x != zero for x in ambient_map.apply(rel)):
-                return False
-        return True
+        span = self.relation_span
+        rels = Matrix.from_rows(self.field, span.rows, span.ambient_dim)
+        return (ambient_map @ rels.transpose()
+                == Matrix.zeros(self.field, ambient_map.rows, span.dim))
 
     def to_json(self):
         """Stable serialization (quotient dim, relation rank, λ matrices)."""
@@ -227,15 +229,14 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
                     pos = offs[src] + k * F.dim(src) + b
                     row[pos] = field.sub(row.get(pos, zero), coeff)
                 rows.append(row)
-    ker = kernel_basis(rows, field, total)
     basis = []
-    for vec in ker.vectors:
+    for vec in kernel_basis(rows, field, total).rows:
         family = {}
         for obj in cat.objects:
             gd, fd = G.dim(obj), F.dim(obj)
-            block = [vec[offs[obj] + r * fd: offs[obj] + (r + 1) * fd]
-                     for r in range(gd)]
-            family[obj] = Matrix(field, block, cols=fd)
+            block = range(offs[obj], offs[obj] + gd * fd)
+            column = Matrix.from_rows(field, [{0: vec.get(k, zero)} for k in block], 1)
+            family[obj] = uncurry(column, gd, fd)
         basis.append(family)
     return EndSpace(cat, F, G, basis)
 

@@ -36,10 +36,12 @@ Every echelon form comes from one elimination core over sparse rows
 reduced, in the style of structured Gaussian elimination (LaMacchia &
 Odlyzko, CRYPTO 1990).  ``rref`` is a thin dense wrapper over it: all
 ``m.rows`` rows, the canonical echelon, its pivots and rank.
-``SubspaceBasis`` and ``kernel_basis`` also take sparse rows and store
-only the rank rows or the kernel vectors dense, so a large system with a
-few nonzeros per row, such as the coend relations and the naturality
-equations of ``coend``, is never held as a dense matrix.
+``SubspaceBasis`` and ``kernel_basis`` take sparse rows and keep them
+sparse: a subspace is the RREF rows the elimination returns, and
+``quotient`` reads the free entries of each from its dict.  So a large
+system with a few nonzeros per row, such as the coend relations and the
+naturality equations of ``coend``, is never held dense; only ``Matrix``
+is.
 """
 
 from itertools import chain
@@ -221,20 +223,6 @@ class Matrix:
     def transpose(self):
         return Matrix.from_rows(self.field, self.sparse_cols(), self.rows)
 
-    def apply(self, vec):
-        """Image of a coordinate vector (list of scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero()
-        out = []
-        for row in self.data:
-            acc = zero
-            for a, x in zip(row, vec):
-                if a != zero and x != zero:
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
-        return out
-
     def col(self, j):
         return [row[j] for row in self.data]
 
@@ -346,20 +334,11 @@ def perm_matrix(field, perm) -> Matrix:
 # -- echelon forms and subspaces --------------------------------------
 
 
-def _sparse_rows(field, width, vectors):
-    """Vectors of K^width, given as dense lists or as sparse rows
-    ``{col: value}``, as sparse rows (dense ones without their zeros)."""
-    zero = field.zero()
-    rows = []
-    for v in vectors:
-        if isinstance(v, dict):
-            if v and (min(v) < 0 or max(v) >= width):
-                raise ValueError("sparse vector index outside K^%d" % width)
-            rows.append(v)
-        elif len(v) != width:
-            raise ValueError("vector length != ambient dimension")
-        else:
-            rows.append({j: x for j, x in enumerate(v) if x != zero})
+def _sparse_rows(width, rows):
+    """The sparse rows ``{col: value}``, checked to lie in K^width."""
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= width):
+            raise ValueError("sparse vector index outside K^%d" % width)
     return rows
 
 
@@ -437,53 +416,43 @@ def rank(m: Matrix) -> int:
 class SubspaceBasis:
     """Subspace of K^ambient, stored as the RREF rows of a spanning set.
 
-    The spanning vectors are dense lists of length ``ambient_dim`` or
-    sparse rows ``{col: value}``; only the rank rows are stored dense,
-    with the pivot columns the elimination found.
+    The spanning vectors are sparse rows ``{col: value}``; ``rows`` are the
+    rank rows ``_eliminate`` returns, unchanged and in pivot order.
     """
 
-    __slots__ = ("field", "ambient_dim", "vectors", "_pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "_pivots")
 
-    def __init__(self, field, ambient_dim, vectors):
+    def __init__(self, field, ambient_dim, rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        pivot_rows = _eliminate(field, _sparse_rows(field, ambient_dim, vectors))
-        zero = field.zero()
+        pivot_rows = _eliminate(field, _sparse_rows(ambient_dim, rows))
         self._pivots = tuple(sorted(pivot_rows))
-        self.vectors = []
-        for p in self._pivots:
-            v = [zero] * ambient_dim
-            for c, x in pivot_rows[p].items():
-                v[c] = x
-            self.vectors.append(v)
+        self.rows = [pivot_rows[p] for p in self._pivots]
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.rows)
 
     def pivots(self):
         return self._pivots
 
     def __eq__(self, other):
-        return (isinstance(other, SubspaceBasis)
+        return (isinstance(other, SubspaceBasis) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.vectors == other.vectors)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return "SubspaceBasis(dim %d of K^%d)" % (self.dim, self.ambient_dim)
 
 
-def kernel_basis(f, field=None, cols=None) -> SubspaceBasis:
-    """Basis of { v : f v = 0 }; dimension = cols − rank(f).
+def kernel_basis(rows, field, cols) -> SubspaceBasis:
+    """Basis of { v : f v = 0 } for f given by sparse rows ``{col: value}``
+    over ``field`` with ``cols`` columns; dimension = cols − rank(f).
 
-    ``f`` is a Matrix, or a list of sparse rows ``{col: value}`` over
-    ``field`` with ``cols`` columns.  Each free column c gives the kernel
-    vector e_c − Σ_p row_p[c]·e_p over the pivot rows; the basis is
-    returned in RREF.
+    Each free column c gives the kernel vector e_c − Σ_p row_p[c]·e_p over
+    the pivot rows; the basis is returned in RREF.
     """
-    if isinstance(f, Matrix):
-        field, cols, f = f.field, f.cols, f.sparse_rows()
-    pivot_rows = _eliminate(field, _sparse_rows(field, cols, f))
+    pivot_rows = _eliminate(field, _sparse_rows(cols, rows))
     one = field.one()
     kernel = {c: {c: one} for c in range(cols) if c not in pivot_rows}
     for p, row in pivot_rows.items():
@@ -533,10 +502,12 @@ def quotient(ambient_dim: int, relations: SubspaceBasis):
     pivots = relations.pivots()
     pivot_set = set(pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
+    position = {c: k for k, c in enumerate(free)}
     one = field.one()
     rows = [{c: one} for c in free]
-    for vec, p in zip(relations.vectors, pivots):
-        # e_p ≡ -Σ_{free n} vec[n]·e_n modulo the relations
-        for row, n in zip(rows, free):
-            row[p] = field.neg(vec[n])
+    for rel, p in zip(relations.rows, pivots):
+        # e_p ≡ -Σ_{free n} rel[n]·e_n modulo the relations
+        for n, x in rel.items():
+            if n != p:
+                rows[position[n]][p] = field.neg(x)
     return Matrix.from_rows(field, rows, ambient_dim), free

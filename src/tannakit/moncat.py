@@ -126,6 +126,19 @@ def coherence_equal(e1: SymExpr, e2: SymExpr) -> bool:
     return perm_of(e1) == perm_of(e2)
 
 
+def evaluations_equal(e1: SymExpr, e2: SymExpr, dims) -> bool:
+    """Whether ``eval_in_vec`` gives e1 and e2 the same matrix, read off
+    their permutations of the letters.
+
+    A letter of dimension 1 carries the one index 0 wherever it goes, so
+    the matrices differ exactly when the permutations send some letter of
+    dimension at least 2 to different places.  With every dimension at
+    least 2 this is ``coherence_equal``.
+    """
+    return all(a == b for a, b, atom in zip(perm_of(e1), perm_of(e2), e1.domain)
+               if dims[atom] > 1)
+
+
 def eval_in_vec(e: SymExpr, dims, field=QQ) -> Matrix:
     """Exact matrix of the expression once each atom gets a dimension.
 

@@ -225,28 +225,32 @@ def morphism_image_span(cat, F, src, dst):
     src → c, so only the spans out of src are closed: one per object,
     seeded with the identity at src and grown by the generator images
     until none grows; termination is forced by the dimension bound on
-    each span.  Each span holds the row-major entries of its matrices.
+    each span.  Each span holds the row-major entries of its matrices as
+    sparse rows.
     """
     field = F.field
+    zero = field.zero()
     d_src = F.dim(src)
 
-    def unflatten(vec, obj):
-        return Matrix(field, [vec[r * d_src:(r + 1) * d_src]
+    def flatten(m):
+        return dict(enumerate(m.entries()))
+
+    def unflatten(row, obj):
+        return Matrix(field, [[row.get(r * d_src + c, zero) for c in range(d_src)]
                               for r in range(F.dim(obj))], cols=d_src)
 
     spans = {obj: SubspaceBasis(field, F.dim(obj) * d_src, []) for obj in cat.objects}
     spans[src] = SubspaceBasis(field, d_src * d_src,
-                               [list(Matrix.identity(field, d_src).entries())])
+                               [flatten(Matrix.identity(field, d_src))])
     changed = True
     while changed:
         changed = False
         for g in cat.generators:
             gm = F.gen_matrix(g.name)
-            images = [list((gm @ unflatten(vec, g.src)).entries())
-                      for vec in spans[g.src].vectors]
+            images = [flatten(gm @ unflatten(row, g.src)) for row in spans[g.src].rows]
             span = spans[g.dst]
-            grown = SubspaceBasis(field, span.ambient_dim, span.vectors + images)
+            grown = SubspaceBasis(field, span.ambient_dim, span.rows + images)
             if grown.dim > span.dim:
                 spans[g.dst] = grown
                 changed = True
-    return [unflatten(vec, dst) for vec in spans[dst].vectors]
+    return [unflatten(row, dst) for row in spans[dst].rows]

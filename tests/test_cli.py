@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,8 +187,16 @@ def test_coherence_unequal_pair(capsys):
     assert "FAIL expressions_equal" in out
 
 
+def test_coherence_cross_check_at_dimension_one(capsys):
+    # both sides evaluate to the 1×1 identity, which the permutations predict
+    code, out = run(capsys, "coherence", "swap[a,a;0]", "id[a,a]", "--dims", "a=1")
+    assert code == 1
+    assert "FAIL expressions_equal" in out
+    assert "PASS matrix_evaluation_agrees" in out
+
+
 @pytest.mark.parametrize("dims", ["x", "x=y", "x=-1", "x=0", "x=2,y", "=2",
-                                  "x=\u00b2", "x=2"])
+                                  "x=\u00b2", "x=2", "x=2,x=3"])
 def test_coherence_bad_dims_exit_with_one_line(capsys, dims):
     # "x=2" leaves y without a dimension
     message = rejected(capsys, "coherence", "swap[x,y;0]", "swap[x,y;0]",
@@ -215,6 +226,20 @@ def test_coherence_nesting_is_capped(capsys):
     assert message == "coherence: expression nests deeper than 200"
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tannakit.cli", "reconstruct",
+                               "--fixture", "z2_character", "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_unknown_fixture_errors(capsys):
     message = rejected(capsys, "validate", "--fixture", "no_such_fixture")
     assert message.startswith("unknown fixture 'no_such_fixture'; available: ")
@@ -241,6 +266,8 @@ def test_deeply_nested_json_is_rejected(monkeypatch, capsys):
     (["validate", "--fixture", "trivial", "--field", "Fp:4"], "field"),
     (["coherence", "swap[a,b;x]", "id[a,b]"], "coherence"),
     (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a=2"], "--dims"),
+    (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a"], "--dims"),
+    (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a=2,b=3,a=5"], "--dims"),
 ])
 def test_json_error_carries_the_line(capsys, argv, source):
     line = rejected(capsys, *argv)

@@ -71,7 +71,7 @@ def test_generator_relations_span_composite_relations(rng):
                      {"g": rand_matrix(rng, QQ, 2, 2),
                       "h": rand_matrix(rng, QQ, 2, 2)})
     ambient, vectors = relation_vectors(cat, F, F)
-    span = SubspaceBasis(QQ, ambient, vectors)
+    span = SubspaceBasis(QQ, ambient, Matrix(QQ, vectors, cols=ambient).sparse_rows())
     # composite h∘g: a → c; its relation vectors live in the same span
     comp = F.gen_matrix("h") @ F.gen_matrix("g")
     offs = {"a": 0, "b": 4, "c": 8}
@@ -85,7 +85,8 @@ def test_generator_relations_span_composite_relations(rng):
                 vec[offs["c"] + l * 2 + j] -= comp.data[l][i]
             composite.append(vec)
     assert any(any(v) for v in composite)
-    assert SubspaceBasis(QQ, ambient, vectors + composite) == span
+    both = Matrix(QQ, vectors + composite, cols=ambient).sparse_rows()
+    assert SubspaceBasis(QQ, ambient, both) == span
 
 
 def test_universality_of_quotient(rng):

@@ -115,9 +115,18 @@ def relation_shaped(field, rng):
     return out
 
 
+def nonzeros(field, vectors):
+    """Dense vectors as sparse rows ``{col: value}``, zeros dropped."""
+    zero = field.zero()
+    return [{c: x for c, x in enumerate(v) if x != zero} for v in vectors]
+
+
 def sparse_rows(m):
-    zero = m.field.zero()
-    return [{c: x for c, x in enumerate(row) if x != zero} for row in m.data]
+    return nonzeros(m.field, m.data)
+
+
+def kernel_of(m):
+    return kernel_basis(sparse_rows(m), m.field, m.cols)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
@@ -170,43 +179,46 @@ def test_only_linalg_reads_the_dense_layout():
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
 def test_subspace_and_kernel_match_dense_references(rng, field):
-    for m in relation_shaped(field, rng):
+    shapes = relation_shaped(field, rng) + [Matrix.zeros(field, 0, 4),
+                                            Matrix.zeros(field, 3, 0)]
+    for m in shapes:
         ech, pivots, rank_m = dense_rref(m)
-        for span in (SubspaceBasis(field, m.cols, m.data),
-                     SubspaceBasis(field, m.cols, sparse_rows(m))):
-            assert span.vectors == ech.data[:rank_m]
-            assert span.pivots() == pivots
+        span = SubspaceBasis(field, m.cols, sparse_rows(m))
+        assert span.rows == sparse_rows(ech)[:rank_m]
+        assert span.pivots() == pivots
         vectors, kernel_pivots = dense_kernel(m)
-        for ker in (kernel_basis(m),
-                    kernel_basis(sparse_rows(m), field, m.cols)):
-            assert ker.vectors == vectors
-            assert ker.pivots() == kernel_pivots
-            assert ker.dim == m.cols - rank_m
+        ker = kernel_of(m)
+        assert ker.rows == nonzeros(field, vectors)
+        assert ker.pivots() == kernel_pivots
+        assert ker.dim == m.cols - rank_m
+    # the same integer rows over Q and over F_7 are different subspaces
+    assert (SubspaceBasis(QQ, 2, [{0: Fraction(1), 1: Fraction(2)}])
+            != SubspaceBasis(GF(7), 2, [{0: 1, 1: 2}]))
 
 
 def test_subspace_rejects_vectors_outside_the_ambient():
-    for vectors in ([[1, 2, 3, 4]], [{3: 1}], [{-1: 1}]):
+    for vectors in ([{0: 1, 3: 4}], [{3: 1}], [{-1: 1}]):
         with pytest.raises(ValueError):
             SubspaceBasis(QQ, 3, vectors)
 
 
 def test_kernel_identity_and_zero():
-    assert kernel_basis(Matrix.identity(QQ, 3)).dim == 0
-    assert kernel_basis(Matrix.zeros(QQ, 3, 3)).dim == 3
+    assert kernel_of(Matrix.identity(QQ, 3)).dim == 0
+    assert kernel_of(Matrix.zeros(QQ, 3, 3)).dim == 3
 
 
 def test_kernel_by_hand():
     # f(v) = v0 + v1; enumerate: f·(1,−1) = 0 spans the kernel
     f = Matrix.from_ints(QQ, [[1, 1]])
-    ker = kernel_basis(f)
+    ker = kernel_of(f)
     assert ker.dim == 1
-    assert ker.vectors[0] == [Fraction(1), Fraction(-1)]
+    assert ker.rows[0] == {0: Fraction(1), 1: Fraction(-1)}
 
 
 def test_rank_nullity(rng):
     for _ in range(10):
         m = rand_matrix(rng, QQ, 3, 5)
-        assert rank(m) + kernel_basis(m).dim == m.domain_dim
+        assert rank(m) + kernel_of(m).dim == m.domain_dim
 
 
 def test_kron_identity_and_scalar():
@@ -359,12 +371,12 @@ def test_curry_and_uncurry_reject_shapes_that_do_not_factor():
 
 
 def assert_quotient_of(proj, free, rel):
-    """proj is the identity on the free columns and kills the relations."""
+    """proj is the identity on the free columns and kills the relation rows."""
     on_free = Matrix(QQ, [[row[c] for c in free] for row in proj.data],
                      cols=len(free))
     assert on_free == Matrix.identity(QQ, len(free))
-    for vec in rel.vectors:
-        assert proj.apply(vec) == [QQ.zero()] * len(free)
+    rows = Matrix.from_rows(QQ, rel.rows, rel.ambient_dim)
+    assert proj @ rows.transpose() == Matrix.zeros(QQ, len(free), rel.dim)
 
 
 def test_quotient_trivial():
@@ -374,27 +386,28 @@ def test_quotient_trivial():
 
 
 def test_quotient_by_line():
-    rel = SubspaceBasis(QQ, 2, [[Fraction(1), Fraction(-1)]])
+    rel = SubspaceBasis(QQ, 2, [{0: Fraction(1), 1: Fraction(-1)}])
     proj, free = quotient(2, rel)
     assert proj.codomain_dim == 1 and free == (1,)
-    assert proj.apply([Fraction(1), Fraction(-1)]) == [Fraction(0)]
+    line = Matrix.column(QQ, [Fraction(1), Fraction(-1)])
+    assert proj @ line == Matrix.zeros(QQ, 1, 1)
     assert_quotient_of(proj, free, rel)
 
 
 def test_quotient_kernel_is_relations(rng):
     for _ in range(5):
-        vecs = [rand_matrix(rng, QQ, 1, 6).data[0] for _ in range(3)]
+        vecs = [sparse_rows(rand_matrix(rng, QQ, 1, 6))[0] for _ in range(3)]
         rel = SubspaceBasis(QQ, 6, vecs)
         proj, free = quotient(6, rel)
         assert_quotient_of(proj, free, rel)
-        assert kernel_basis(proj) == rel
+        assert kernel_of(proj) == rel
         assert proj.codomain_dim == 6 - rel.dim
 
 
 def test_solve_and_image():
     a = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
     x = solve_matrix(a, Matrix.from_ints(QQ, [[5], [11]]))
-    assert a.apply(x.col(0)) == [Fraction(5), Fraction(11)]
+    assert a @ x == Matrix.from_ints(QQ, [[5], [11]])
     assert solve_matrix(Matrix.from_ints(QQ, [[1, 1], [1, 1]]),
                         Matrix.from_ints(QQ, [[0], [1]])) is None
 
@@ -468,6 +481,6 @@ def test_degenerate_shapes():
     z = Matrix.zeros(QQ, 0, 3)
     assert z.transpose().rows == 3 and z.transpose().cols == 0
     assert rank(z) == 0
-    assert kernel_basis(z).dim == 3
+    assert kernel_of(z).dim == 3
     a = Matrix.zeros(QQ, 2, 0)
     assert (a @ z).rows == 2 and (a @ z).cols == 3

@@ -3,8 +3,8 @@ import pytest
 from tannakit import (Matrix, QQ, check_triangles, coherence_equal, dual_map,
                       eval_in_vec, kron, standard_pairing)
 from tannakit.moncat import (MAX_EXPR_DEPTH, MAX_WORD_DIM, AdjacentSwap, Compose, DualPairing,
-                             ExprError, Identity, format_expr, parse_expr,
-                             perm_of, transport_pairing)
+                             ExprError, Identity, evaluations_equal, format_expr,
+                             parse_expr, perm_of, transport_pairing)
 
 from conftest import dense_swap, rand_invertible, rand_matrix
 
@@ -69,13 +69,10 @@ def test_eval_unit_factor_collapses():
 
 def test_eval_swap_two_two():
     e = AdjacentSwap(("x", "y"), 0)
-    m = eval_in_vec(e, {"x": 2, "y": 2})
+    cols = eval_in_vec(e, {"x": 2, "y": 2}).sparse_cols()
     for i in range(2):
         for j in range(2):
-            col = [QQ.zero()] * 4
-            col[i * 2 + j] = QQ.one()
-            out = m.apply(col)
-            assert out[j * 2 + i] == QQ.one() and sum(1 for v in out if v != 0) == 1
+            assert cols[i * 2 + j] == {j * 2 + i: QQ.one()}
 
 
 from conftest import random_expr_pair as random_pair
@@ -140,13 +137,21 @@ def test_eval_rejects_word_dimension_above_cap():
 
 
 def test_coherence_soundness_at_dimension_one(rng):
-    # equal expressions evaluate equal even when some dims are 1
-    for _ in range(40):
+    # equal expressions evaluate equal even when some dims are 1; unequal
+    # ones may too, exactly when evaluations_equal reads it off perm_of
+    swap, ident = AdjacentSwap(("a", "a"), 0), Identity(("a", "a"))
+    assert evaluations_equal(swap, ident, {"a": 1})
+    assert not evaluations_equal(swap, ident, {"a": 2})
+    seen = set()
+    for _ in range(120):
         e1, e2 = random_pair(rng)
-        if not coherence_equal(e1, e2):
-            continue
-        dims = {atom: rng.choice([1, 2, 3]) for atom in {"a", "b"}}
-        assert eval_in_vec(e1, dims) == eval_in_vec(e2, dims)
+        dims = {atom: rng.choice([1, 2, 3]) for atom in ("a", "b")}
+        got = eval_in_vec(e1, dims) == eval_in_vec(e2, dims)
+        assert evaluations_equal(e1, e2, dims) == got
+        equal = coherence_equal(e1, e2)
+        assert got or not equal
+        seen.add((equal, got))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_swap_naturality(rng):

@@ -343,9 +343,9 @@ def test_morphism_image_span_z2_regular():
     span = morphism_image_span(doc.category, doc.functor, "star", "star")
     assert len(span) == 2
     # the span is {a·id + b·swap}
-    flat = SubspaceBasis(QQ, 4, [[x for row in m.data for x in row] for m in span])
-    assert flat == SubspaceBasis(QQ, 4, Matrix.from_ints(QQ, [[1, 0, 0, 1],
-                                                              [0, 1, 1, 0]]).data)
+    flat = SubspaceBasis(QQ, 4, [dict(enumerate(m.entries())) for m in span])
+    assert flat == SubspaceBasis(QQ, 4, [{0: QQ.one(), 3: QQ.one()},
+                                         {1: QQ.one(), 2: QQ.one()}])
 
 
 def test_fullness_witness_dimensions_agree():
