@@ -4,6 +4,11 @@ Scalars are canonical Python values (``fractions.Fraction`` in lowest terms
 for the rationals, ints in ``[0, p)`` for a prime field), so ``==`` on
 scalars and on matrices is exact equality.  The shared text format is
 ``"p/q"`` / ``"p"`` for rationals and ``"r mod p"`` for prime-field residues.
+
+A canonical scalar of either field is falsy exactly when it is zero and
+equals the int 1 exactly when it is one, so ``not x`` and ``x == 1``
+decide zero and one exactly, without comparing two ``Fraction`` values.
+The matrix kernels of ``linalg`` rely on this rule.
 """
 
 from fractions import Fraction
@@ -78,7 +83,7 @@ class Field:
         raise NotImplementedError
 
     def is_zero(self, a):
-        return a == self.zero()
+        return not a
 
     def parse(self, text: str):
         """Decode a scalar string; any malformed scalar raises FieldError."""

@@ -16,6 +16,15 @@ reads that layout: other modules build a matrix from sparse rows
 ``sparse_rows``, ``sparse_cols``, ``entries``, ``select_rows`` and
 ``select_cols``.  ``.data`` stays the writable dense face for tests.
 
+The kernels (``sparse_rows``, ``sparse_cols``, ``@``, ``kron``,
+``kron_apply`` and the elimination) test a scalar by the rule of
+``fields``: ``not x`` for zero and ``x == 1`` for one, never ``x !=
+field.zero()`` or ``x == field.one()``.  The answers are the same, but
+over Q the comparison of two ``Fraction`` values runs the
+``numbers.Rational`` check on every call, and a ``Fraction`` against an
+int does not.  ``@``, ``kron`` and ``kron_apply`` skip each
+multiplication by an entry equal to 1.
+
 Permutations of basis vectors, such as the factor swap ψ: V⊗W → W⊗V, are
 index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
 ``swap_perm`` and ``kron_perm`` build them, ``Matrix.select_cols`` applies
@@ -148,17 +157,15 @@ class Matrix:
 
     def sparse_rows(self):
         """Each row as ``{col: value}`` over its nonzero entries."""
-        zero = self.field.zero()
-        return [{j: x for j, x in enumerate(row) if x != zero} for row in self.data]
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
     def sparse_cols(self):
         """Each column as ``{row: value}`` over its nonzero entries; the
         sparse rows of the transpose."""
-        zero = self.field.zero()
         cols = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):
             for j, x in enumerate(row):
-                if x != zero:
+                if x:
                     cols[j][i] = x
         return cols
 
@@ -200,19 +207,17 @@ class Matrix:
                              % (self.rows, self.cols, other.rows, other.cols))
         field = self.field
         add, mul = field.add, field.mul
-        zero, one = field.zero(), field.one()
         out = Matrix.zeros(field, self.rows, other.cols)
         bnz = [None] * other.rows
         for i, arow in enumerate(self.data):
             orow = out.data[i]
             for k, a in enumerate(arow):
-                if a == zero:
+                if not a:
                     continue
                 nz = bnz[k]
                 if nz is None:
-                    nz = bnz[k] = [(j, v) for j, v in enumerate(other.data[k])
-                                   if v != zero]
-                if a == one:
+                    nz = bnz[k] = [(j, v) for j, v in enumerate(other.data[k]) if v]
+                if a == 1:
                     for j, b in nz:
                         orow[j] = add(orow[j], b)
                 else:
@@ -235,7 +240,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product under the fixed index convention."""
     field = a.field
     mul = field.mul
-    one = field.one()
     out = Matrix.zeros(field, a.rows * b.rows, a.cols * b.cols)
     bnz = b.sparse_rows()
     for i, arow in enumerate(a.sparse_rows()):
@@ -243,7 +247,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             base = j * b.cols
             for k in range(b.rows):
                 orow = out.data[i * b.rows + k]
-                if x == one:
+                if x == 1:
                     for l, v in bnz[k].items():
                         orow[base + l] = v
                 else:
@@ -273,10 +277,10 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             continue
         for c, v in mrow.items():
             for i, x in acol.items():
-                xv = mul(x, v)
+                xv = v if x == 1 else mul(x, v)
                 for k, y in bcol.items():
                     orow = out.data[i * b.rows + k]
-                    orow[c] = add(orow[c], mul(xv, y))
+                    orow[c] = add(orow[c], xv if y == 1 else mul(xv, y))
     return out
 
 
@@ -353,25 +357,25 @@ def _eliminate(field, rows):
     Returns ``{pivot column: row}``; the input rows are not modified.
     """
     sub, mul = field.sub, field.mul
-    zero, one = field.zero(), field.one()
+    zero = field.zero()
     pivot_rows = {}
     holders = {}    # non-pivot column -> pivot columns whose row holds it
     for given in rows:
-        row = {j: x for j, x in given.items() if x != zero}
+        row = {j: x for j, x in given.items() if x}
         # a pivot row holds no other pivot column, so one pass suffices
         for p in [c for c in row if c in pivot_rows]:
             factor = row.pop(p)
             for j, y in pivot_rows[p].items():
                 if j != p:
                     x = sub(row.get(j, zero), mul(factor, y))
-                    if x != zero:
+                    if x:
                         row[j] = x
                     else:
                         del row[j]
         if not row:
             continue
         lead = min(row)
-        if row[lead] != one:
+        if row[lead] != 1:
             inv = field.inv(row[lead])
             row = {j: mul(inv, x) for j, x in row.items()}
         for p in holders.pop(lead, ()):
@@ -381,7 +385,7 @@ def _eliminate(field, rows):
                 if j == lead:
                     continue
                 x = sub(prow.get(j, zero), mul(factor, y))
-                if x != zero:
+                if x:
                     if j not in prow:
                         holders.setdefault(j, set()).add(p)
                     prow[j] = x

@@ -270,6 +270,52 @@ def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):
     return m
 
 
+def rand_unit_matrix(rng, field, rows, cols):
+    """A random matrix with about two thirds of its entries 0, 1 or −1, each
+    written another way than ``zero()``, ``one()`` and ``neg(one())``, and
+    the rest as in ``rand_matrix``: Fraction(0, 5), Fraction(2, 2) and
+    Fraction(-3, 3) over Q, and the residues of p, p + 1 and −1 over GF(p),
+    where over GF(2) −1 is 1."""
+    m = rand_matrix(rng, field, rows, cols, denom=True)
+    if field == QQ:
+        units = [Fraction(0, 5), Fraction(2, 2), Fraction(-3, 3)]
+    else:
+        units = [field.from_int(n) for n in (field.p, field.p + 1, -1)]
+    for row in m.data:
+        for j in range(cols):
+            if rng.random() < 2 / 3:
+                row[j] = rng.choice(units)
+    return m
+
+
+def dense_product(a, b):
+    """a @ b as Σ_k a[i][k]·b[k][j] over every k, zeros and ones included.
+
+    The reference that ``Matrix.__matmul__`` is checked against.
+    """
+    field = a.field
+    out = Matrix.zeros(field, a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = field.zero()
+            for k in range(a.cols):
+                total = field.add(total, field.mul(a.data[i][k], b.data[k][j]))
+            out.data[i][j] = total
+    return out
+
+
+def dense_kron(a, b):
+    """kron(a, b) entry by entry, [i·b.rows + k][j·b.cols + l] = a[i][j]·b[k][l].
+
+    The reference that ``linalg.kron`` is checked against.
+    """
+    field = a.field
+    return Matrix(field, [[field.mul(a.data[i][j], b.data[k][l])
+                           for j in range(a.cols) for l in range(b.cols)]
+                          for i in range(a.rows) for k in range(b.rows)],
+                  cols=a.cols * b.cols)
+
+
 def rand_invertible(rng, field, n):
     from tannakit.linalg import inverse
     while True:

@@ -95,6 +95,21 @@ def test_field_axioms_exact():
                 assert f7.mul(f7.mul(a, f7.inv(b)), b) == a
 
 
+@pytest.mark.parametrize("field, scalars", [
+    (QQ, [Fraction(0), Fraction(0, 5), Fraction(1), Fraction(2, 2), Fraction(-1),
+          Fraction(1, 3)]),
+    (GF(2), list(GF(2).elements())),
+    (GF(7), list(GF(7).elements())),
+], ids=["Q", "F2", "F7"])
+def test_truth_value_and_int_one_decide_zero_and_one(field, scalars):
+    # the scalar rule the matrix kernels of linalg rely on
+    for x in scalars:
+        assert bool(x) == (x != field.zero()) == (not field.is_zero(x))
+        assert (x == 1) == (x == field.one())
+    assert {bool(x) for x in scalars} == {False, True}
+    assert {x == 1 for x in scalars} == {False, True}
+
+
 def test_field_config_codec():
     assert field_from_config("Q") == QQ
     assert field_from_config({"Fp": 3}) == GF(3)

@@ -13,8 +13,9 @@ from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
                              quotient, solve_matrix, swap_perm, uncurry)
 
 from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
-                      dense_rref, dense_swap, rand_invertible, rand_matrix,
-                      rand_sparse_matrix)
+                      dense_kron, dense_product, dense_rref, dense_swap,
+                      rand_invertible, rand_matrix, rand_sparse_matrix,
+                      rand_unit_matrix)
 
 
 def minor_rank(m):
@@ -71,7 +72,7 @@ def test_rref_idempotent(rng):
         assert again == ech
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2)], ids=["Q", "F7", "F2"])
 def test_rref_matches_dense_rref(rng, field):
     # rank-deficient products of a thin and a wide factor, sparse and dense
     for rows, cols, k, density in [(6, 9, 3, 0.3), (9, 6, 4, 0.5), (7, 7, 5, 1.0),
@@ -86,6 +87,14 @@ def test_rref_matches_dense_rref(rng, field):
             assert got[2] <= k
     for m in [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 0)]:
         assert rref(m) == dense_rref(m)
+    # entries equal to 0, 1 and −1 written another way, and their products
+    for rows, cols, k in [(5, 7, 3), (7, 5, 4), (6, 6, 6), (1, 4, 1)]:
+        for _ in range(3):
+            m = rand_unit_matrix(rng, field, rows, cols)
+            assert rref(m) == dense_rref(m)
+            m = (rand_unit_matrix(rng, field, rows, k)
+                 @ rand_unit_matrix(rng, field, k, cols))
+            assert rref(m) == dense_rref(m)
 
 
 def relation_shaped(field, rng):
@@ -295,8 +304,15 @@ def test_kron_perm_matches_dense_kron():
                 assert perm_matrix(field, kron_perm(p, q)) == kron(dp, dq)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2)], ids=["Q", "F7", "F2"])
 def test_kron_apply_matches_dense_kron(rng, field):
+    def check(a, b, m):
+        ab = kron(a, b)
+        assert ab == dense_kron(a, b)
+        got = kron_apply(a, b, m)
+        assert got == ab @ m == dense_product(ab, m)
+        assert (got.rows, got.cols) == (a.rows * b.rows, m.cols)
+
     # (a.rows, a.cols, b.rows, b.cols, m.cols): square, thin, wide, 1×k
     # functionals on either side, and zero-row and zero-column shapes
     shapes = [(3, 2, 2, 3, 4), (4, 4, 1, 1, 2), (1, 1, 3, 2, 3), (1, 4, 1, 3, 1),
@@ -304,17 +320,54 @@ def test_kron_apply_matches_dense_kron(rng, field):
               (2, 0, 2, 2, 3), (3, 2, 2, 2, 0)]
     for ar, ac, br, bc, mc in shapes:
         for density in (1.0, 0.3):
-            a = rand_sparse_matrix(rng, field, ar, ac, density, denom=True)
-            b = rand_sparse_matrix(rng, field, br, bc, density, denom=True)
-            m = rand_sparse_matrix(rng, field, ac * bc, mc, density, denom=True)
-            got = kron_apply(a, b, m)
-            assert got == kron(a, b) @ m
-            assert (got.rows, got.cols) == (ar * br, mc)
+            check(rand_sparse_matrix(rng, field, ar, ac, density, denom=True),
+                  rand_sparse_matrix(rng, field, br, bc, density, denom=True),
+                  rand_sparse_matrix(rng, field, ac * bc, mc, density, denom=True))
+    # entries equal to 0, 1 and −1 written another way
+    for ar, ac, br, bc, mc in shapes:
+        check(rand_unit_matrix(rng, field, ar, ac), rand_unit_matrix(rng, field, br, bc),
+              rand_unit_matrix(rng, field, ac * bc, mc))
     # the coassociativity shapes (Δ⊗id)∘Δ and (id⊗Δ)∘Δ
     delta = rand_sparse_matrix(rng, field, 9, 3, 0.4, denom=True)
     ident = Matrix.identity(field, 3)
     assert kron_apply(delta, ident, delta) == kron(delta, ident) @ delta
     assert kron_apply(ident, delta, delta) == kron(ident, delta) @ delta
+
+
+def test_kernels_compare_no_fraction_with_a_fraction(monkeypatch):
+    """The kernels test a Q scalar by its truth value and against the int 1,
+    never against another Fraction, whose ``__eq__`` runs the
+    ``numbers.Rational`` check."""
+    m = Matrix.from_rows(QQ, [{0: Fraction(1, 2), 3: Fraction(-2)}, {},
+                              {1: Fraction(2, 2), 3: Fraction(3, 4)},
+                              {0: Fraction(1), 2: Fraction(0, 5), 3: Fraction(-4)}], 4)
+    ident = Matrix.identity(QQ, 2)
+    x = Matrix.from_rows(QQ, [{0: Fraction(1)}, {1: Fraction(-1, 3)}] * 4, 2)
+    fraction_eq = Fraction.__eq__
+    compared = []
+
+    def counting_eq(a, b):
+        if isinstance(b, Fraction):
+            compared.append((a, b))
+        return fraction_eq(a, b)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    rows, cols = m.sparse_rows(), m.sparse_cols()
+    product = m @ m
+    kronecker = kron(m, ident)
+    applied = (kron_apply(m, ident, x), kron_apply(ident, m, x))
+    echelon = rref(m)
+    kernel = kernel_basis(rows, QQ, m.cols)
+    monkeypatch.undo()
+    assert compared == []
+    assert rows == sparse_rows(m)
+    assert cols == sparse_rows(m.transpose())
+    assert product == dense_product(m, m)
+    assert kronecker == dense_kron(m, ident)
+    assert applied == (dense_product(dense_kron(m, ident), x),
+                       dense_product(dense_kron(ident, m), x))
+    assert echelon == dense_rref(m)
+    assert kernel.rows == nonzeros(QQ, dense_kernel(m)[0])
 
 
 def test_kron_apply_rejects_shape_mismatch():

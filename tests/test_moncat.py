@@ -85,7 +85,7 @@ def test_coherence_matches_matrix_evaluation(rng):
     for _ in range(120):
         e1, e2 = random_pair(rng)
         expected = coherence_equal(e1, e2)
-        dims = {atom: rng.choice([2, 3]) for atom in set(e1.domain) | {"a", "b"}}
+        dims = {atom: rng.choice([2, 3]) for atom in sorted(set(e1.domain) | {"a", "b"})}
         got = eval_in_vec(e1, dims) == eval_in_vec(e2, dims)
         assert got == expected
         agree += 1
@@ -114,7 +114,7 @@ def test_eval_matches_dense_reference(rng):
     # the same 120 pairs and dims as test_coherence_matches_matrix_evaluation
     for _ in range(120):
         e1, e2 = random_pair(rng)
-        dims = {atom: rng.choice([2, 3]) for atom in set(e1.domain) | {"a", "b"}}
+        dims = {atom: rng.choice([2, 3]) for atom in sorted(set(e1.domain) | {"a", "b"})}
         assert eval_in_vec(e1, dims) == dense_eval(e1, dims)
         assert eval_in_vec(e2, dims) == dense_eval(e2, dims)
 
