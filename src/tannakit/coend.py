@@ -276,33 +276,32 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
         block[r·q_GH + s][i·hd + l] = Σ_j λ_FG[r][i·gd + j] · λ_GH[s][j·hd + l]
 
     over the nonzeros of the two λ_C, without building either Kronecker
-    factor.  The candidate descends through ``push_to_quotient`` and is
-    verified on every block.
+    factor.  Each block is added straight into the sparse rows of the
+    ambient map, at the block's offset; the candidate descends through
+    ``push_to_quotient`` and is verified on every block.
     """
     field = P_FH.field
     add, mul = field.add, field.mul
     zero = field.zero()
     q_gh = P_GH.quotient_dim
-    blocks = {}
-    for obj, fd, hd in P_FH.object_index:
+    rows = [{} for _ in range(P_FG.quotient_dim * q_gh)]
+    for obj, _, hd in P_FH.object_index:
         gd = P_FG.block_dims(obj)[1]
+        off = P_FH.offsets[obj]
         # nonzeros of λ_GH at G-index j, as (s, l, value)
         gh_nz = [[] for _ in range(gd)]
         for s, row in enumerate(P_GH.lam(obj).sparse_rows()):
             for col, y in row.items():
                 j, l = divmod(col, hd)
                 gh_nz[j].append((s, l, y))
-        block = [{} for _ in range(P_FG.quotient_dim * q_gh)]
         for r, row in enumerate(P_FG.lam(obj).sparse_rows()):
             for col, x in row.items():
                 i, j = divmod(col, gd)
                 for s, l, y in gh_nz[j]:
-                    brow = block[r * q_gh + s]
-                    c = i * hd + l
-                    brow[c] = add(brow.get(c, zero), mul(x, y))
-        blocks[obj] = Matrix.from_rows(field, block, fd * hd)
-    codomain = P_FG.quotient_dim * q_gh
-    ambient_map = P_FH.assemble_on_blocks(blocks, codomain)
+                    arow = rows[r * q_gh + s]
+                    c = off + i * hd + l
+                    arow[c] = add(arow.get(c, zero), mul(x, y))
+    ambient_map = Matrix.from_rows(field, rows, P_FH.ambient_dim)
     return P_FH.push_to_quotient(ambient_map, "cocomposition")
 
 

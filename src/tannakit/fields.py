@@ -82,9 +82,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def is_zero(self, a):
-        return not a
-
     def parse(self, text: str):
         """Decode a scalar string; any malformed scalar raises FieldError."""
         if not isinstance(text, str):
@@ -103,7 +100,7 @@ class Field:
         raise NotImplementedError
 
     def abs_key(self, a):
-        """Order key used to pick the max-norm entry of a difference matrix."""
+        """Order key used to pick the max-norm entry of lhs − rhs."""
         raise NotImplementedError
 
     def elements(self):

@@ -15,6 +15,11 @@ reads that layout: other modules build a matrix from sparse rows
 ``{col: value}`` with ``Matrix.from_rows`` and read one through
 ``sparse_rows``, ``sparse_cols``, ``entries``, ``select_rows`` and
 ``select_cols``.  ``.data`` stays the writable dense face for tests.
+``Matrix(field, data)`` copies rows given from outside and checks that
+they are not ragged; a matrix whose rows ``linalg`` has just built (the
+selections, ``curry``, ``uncurry``, products, the augmented system of
+``solve_matrix``) takes them as they are, through the one private
+constructor ``Matrix._adopt``.
 
 The kernels (``sparse_rows``, ``sparse_cols``, ``@``, ``kron``,
 ``kron_apply`` and the elimination) test a scalar by the rule of
@@ -81,14 +86,20 @@ class Matrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero()
+    def _adopt(cls, field, data, cols):
+        """The matrix whose rows are ``data``, fresh lists of length ``cols``
+        that nothing else holds: kept as they are, not copied or checked."""
         m = cls.__new__(cls)
         m.field = field
-        m.rows = rows
+        m.rows = len(data)
         m.cols = cols
-        m.data = [[z] * cols for _ in range(rows)]
+        m.data = data
         return m
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        z = field.zero()
+        return cls._adopt(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field, n):
@@ -131,16 +142,13 @@ class Matrix:
     def codomain_dim(self):
         return self.rows
 
-    # -- equality / hash / repr ---------------------------------------
+    # -- equality / repr ------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return "Matrix(%s, %s)" % (self.field, self.to_strings())
@@ -171,7 +179,7 @@ class Matrix:
 
     def select_rows(self, indices):
         """Row r of the result is row ``indices[r]`` of self."""
-        return Matrix(self.field, [self.data[i] for i in indices], cols=self.cols)
+        return Matrix._adopt(self.field, [self.data[i][:] for i in indices], self.cols)
 
     def select_cols(self, indices):
         """Column j of the result is column ``indices[j]`` of self.  For a
@@ -182,15 +190,9 @@ class Matrix:
             rows = [row[block] for row in self.data]
         else:
             rows = [[row[c] for c in indices] for row in self.data]
-        return Matrix(self.field, rows, cols=len(indices))
+        return Matrix._adopt(self.field, rows, len(indices))
 
     # -- arithmetic ----------------------------------------------------
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, [[sub(a, b) for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
 
     def __matmul__(self, other):
         """Matrix product = composition of linear maps (self after other).
@@ -227,13 +229,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix.from_rows(self.field, self.sparse_cols(), self.rows)
-
-    def col(self, j):
-        return [row[j] for row in self.data]
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -297,8 +292,8 @@ def curry(h: Matrix, v: int, w: int) -> Matrix:
     if v < 0 or w < 0 or h.cols != v * w:
         raise ValueError("%d columns do not factor as V⊗W^∨ with dims %d, %d"
                          % (h.cols, v, w))
-    return Matrix(h.field, [[row[i * w + j] for i in range(v)]
-                            for row in h.data for j in range(w)], cols=v)
+    return Matrix._adopt(h.field, [[row[i * w + j] for i in range(v)]
+                                   for row in h.data for j in range(w)], v)
 
 
 def uncurry(g: Matrix, b: int, w: int) -> Matrix:
@@ -310,8 +305,8 @@ def uncurry(g: Matrix, b: int, w: int) -> Matrix:
         raise ValueError("%d rows do not factor as B⊗W with dims %d, %d"
                          % (g.rows, b, w))
     v = g.cols
-    return Matrix(g.field, [[g.data[r * w + j][i] for i in range(v) for j in range(w)]
-                            for r in range(b)], cols=v * w)
+    return Matrix._adopt(g.field, [[g.data[r * w + j][i] for i in range(v)
+                                    for j in range(w)] for r in range(b)], v * w)
 
 
 # -- permutations as index maps ---------------------------------------
@@ -414,7 +409,7 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_eliminate(m.field, m.sparse_rows()))
 
 
 class SubspaceBasis:
@@ -474,8 +469,8 @@ def solve_matrix(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows:
         raise ValueError("a has %d rows but b has %d" % (a.rows, b.rows))
-    aug = Matrix(a.field, [ra + rb for ra, rb in zip(a.data, b.data)],
-                 cols=a.cols + b.cols)
+    aug = Matrix._adopt(a.field, [ra + rb for ra, rb in zip(a.data, b.data)],
+                        a.cols + b.cols)
     ech, pivots, _ = rref(aug)
     if pivots and pivots[-1] >= a.cols:
         return None

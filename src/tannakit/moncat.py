@@ -307,18 +307,13 @@ def _parse(text, depth):
             raise ExprError("expression nests deeper than %d" % MAX_EXPR_DEPTH)
         left, rest = _parse(text[1:], depth + 1)
         rest = rest.lstrip()
-        if rest.startswith(";"):
-            right, rest = _parse(rest[1:], depth + 1)
-            rest = rest.lstrip()
-            if not rest.startswith(")"):
-                raise ExprError("expected ')'")
-            return Compose(left, right), rest[1:]
-        if rest.startswith("*"):
-            right, rest = _parse(rest[1:], depth + 1)
-            rest = rest.lstrip()
-            if not rest.startswith(")"):
-                raise ExprError("expected ')'")
-            return Tensor(left, right), rest[1:]
+        for op, node in ((";", Compose), ("*", Tensor)):
+            if rest.startswith(op):
+                right, rest = _parse(rest[1:], depth + 1)
+                rest = rest.lstrip()
+                if not rest.startswith(")"):
+                    raise ExprError("expected ')'")
+                return node(left, right), rest[1:]
         raise ExprError("expected ';' or '*' inside parentheses")
     if text.startswith("id["):
         body, rest = _until_bracket(text[3:])

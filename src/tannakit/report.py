@@ -1,7 +1,7 @@
 """Pass/fail reports shared by all verification surfaces.
 
 Every axiom check records a name, a boolean, and a residue: the max-norm
-of the violating difference matrix, or a short word naming the failure.
+of lhs − rhs, read entry by entry, or a short word naming the failure.
 ``Check`` enforces the convention: it stores "0" exactly when the check
 passes, so a caller passes only the residue of a failure, and a failing
 check without a nonzero residue is refused.
@@ -77,20 +77,18 @@ class VerificationError(Exception):
     report = None
 
 
-def max_norm(diff: Matrix) -> str:
-    """Max-norm of a difference matrix as a scalar string ("0" iff zero)."""
-    field = diff.field
-    worst = max(diff.entries(), key=field.abs_key, default=None)
-    if worst is None or field.is_zero(worst):
-        return "0"
-    return field.format(worst)
-
-
 def check_equal(name: str, lhs: Matrix, rhs: Matrix) -> Check:
-    """Exact matrix identity check; residue is the max-norm of lhs − rhs."""
+    """Exact matrix identity check.
+
+    The residue is read off the two sides: the first entry of largest
+    ``field.abs_key`` among the entries of lhs − rhs in row-major order,
+    and the check passes when that entry is zero.
+    """
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         return Check(name, False, "shape",
                      detail={"lhs_shape": [lhs.rows, lhs.cols],
                              "rhs_shape": [rhs.rows, rhs.cols]})
-    residue = max_norm(lhs - rhs)
-    return Check(name, residue == "0", residue)
+    field = lhs.field
+    worst = max(map(field.sub, lhs.entries(), rhs.entries()),
+                key=field.abs_key, default=None)
+    return Check(name, not worst, field.format(worst) if worst else None)

@@ -127,7 +127,8 @@ def column_solve_matrix(a, b):
     field = a.field
     out = Matrix.zeros(field, a.cols, b.cols)
     for j in range(b.cols):
-        aug = Matrix(field, [row + [bx] for row, bx in zip(a.data, b.col(j))],
+        aug = Matrix(field, [row + [bx] for row, bx in
+                             zip(a.data, b.select_cols([j]).entries())],
                      cols=a.cols + 1)
         ech, pivots, _ = rref(aug)
         if a.cols in pivots:

@@ -10,7 +10,8 @@ import pytest
 from tannakit import Matrix
 from tannakit import cli
 from tannakit.cli import load_fixture_text, main
-from tannakit.report import Check
+from tannakit.fields import GF, QQ
+from tannakit.report import Check, check_equal
 
 from conftest import DOCUMENT_COMMANDS, FIXTURES, cyclic_document
 
@@ -402,6 +403,31 @@ def test_check_owns_the_residue_convention():
     for residue in (None, "0"):
         with pytest.raises(ValueError):
             Check("x", False, residue)
+
+
+@pytest.mark.parametrize("field, diff, residue", [
+    (QQ, [["3", "-3"]], "3"),
+    (QQ, [["-3", "3"]], "-3"),
+    (QQ, [["1/2", "-7/2"]], "-7/2"),
+    (GF(7), [["2", "5"], ["0", "3"]], "5 mod 7"),
+])
+def test_check_equal_residue_is_the_first_largest_entry_of_lhs_minus_rhs(
+        field, diff, residue):
+    offset = field.parse("1/3" if field == QQ else "4")
+    rhs = Matrix(field, [[offset] * len(row) for row in diff])
+    lhs = Matrix(field, [[field.add(field.parse(x), offset) for x in row]
+                         for row in diff])
+    check = check_equal("law", lhs, rhs)
+    assert (check.passed, check.residue) == (False, residue)
+    assert check_equal("law", rhs, rhs).to_json() == \
+        {"name": "law", "passed": True, "residue": "0"}
+
+
+def test_check_equal_on_empty_and_mismatched_shapes():
+    assert check_equal("law", Matrix.zeros(QQ, 0, 3), Matrix.zeros(QQ, 0, 3)).passed
+    check = check_equal("law", Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3))
+    assert check.to_json() == {"name": "law", "passed": False, "residue": "shape",
+                               "detail": {"lhs_shape": [2, 2], "rhs_shape": [2, 3]}}
 
 
 def run_document(monkeypatch, capsys, command, doc):

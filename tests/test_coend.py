@@ -44,8 +44,8 @@ def test_natvee_character_category():
     doc = load_fixture("z2_character")
     P = natvee(doc.category, doc.functor, doc.functor)
     assert P.quotient_dim == 2
-    assert P.lam("one").col(0) == [Fraction(1), Fraction(0)]
-    assert P.lam("sigma").col(0) == [Fraction(0), Fraction(1)]
+    assert P.lam("one").sparse_cols() == [{0: Fraction(1)}]
+    assert P.lam("sigma").sparse_cols() == [{1: Fraction(1)}]
 
 
 def test_dinaturality_on_composite_paths():
@@ -219,8 +219,8 @@ def test_coevaluation_character_category():
     # η_1(1) = x_1⊗1 and η_σ(s) = x_σ⊗s in the quotient coordinates
     eta_one = coevaluation(P, "one")
     eta_sigma = coevaluation(P, "sigma")
-    assert eta_one.col(0) == [Fraction(1), Fraction(0)]
-    assert eta_sigma.col(0) == [Fraction(0), Fraction(1)]
+    assert eta_one.sparse_cols() == [{0: Fraction(1)}]
+    assert eta_sigma.sparse_cols() == [{1: Fraction(1)}]
 
 
 def test_coevaluation_counit_law_regular():

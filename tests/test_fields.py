@@ -104,7 +104,7 @@ def test_field_axioms_exact():
 def test_truth_value_and_int_one_decide_zero_and_one(field, scalars):
     # the scalar rule the matrix kernels of linalg rely on
     for x in scalars:
-        assert bool(x) == (x != field.zero()) == (not field.is_zero(x))
+        assert bool(x) == (x != field.zero())
         assert (x == 1) == (x == field.one())
     assert {bool(x) for x in scalars} == {False, True}
     assert {x == 1 for x in scalars} == {False, True}

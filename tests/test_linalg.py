@@ -7,10 +7,11 @@ import pytest
 
 import tannakit
 from tannakit import GF, Matrix, QQ, kron, load_document, rank, rref
-from tannakit.coend import relation_vectors
+from tannakit.coend import cocomposition, natvee, relation_vectors
 from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
                              kron_apply, kron_perm, perm_matrix,
                              quotient, solve_matrix, swap_perm, uncurry)
+from tannakit.report import check_equal
 
 from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
                       dense_kron, dense_product, dense_rref, dense_swap,
@@ -184,6 +185,36 @@ def test_only_linalg_reads_the_dense_layout():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "data"]
     assert found == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_linalg_hands_over_its_own_rows_without_a_copy(monkeypatch, field):
+    """Results that linalg builds row by row skip ``Matrix.__init__``'s copy
+    and ragged check, and ``check_equal`` builds no difference matrix."""
+    m = Matrix.from_ints(field, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    doc = load_document(cyclic_document(4, None if field == QQ else 7))
+    P = natvee(doc.category, doc.functor, doc.functor)
+    copies = []
+    init = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        copies.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    m.select_rows([2, 0])
+    m.select_cols(range(1, 3))
+    m.select_cols([2, 0, 1])
+    for v, w in ((3, 1), (1, 3)):
+        assert uncurry(curry(m, v, w), 3, w) == m
+    assert solve_matrix(m, m) == Matrix.identity(field, 3)
+    assert inverse(m) @ m == Matrix.identity(field, 3)
+    assert check_equal("law", m, m).passed
+    assert not check_equal("law", m, Matrix.identity(field, 3)).passed
+    cocomposition(P, P, P)
+    assert copies == []
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(QQ, 2))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])

@@ -1,3 +1,5 @@
+import io
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
                       morphism_image_span, natvee, rank, rho_tilde,
                       standard_pairing)
 from tannakit.catpres import PresentationError
+from tannakit.cli import load_fixture_text
 from tannakit.coend import pairing_to_nat
 from tannakit.hopf import convolve_functionals, enumerate_linear_maps
 from tannakit.linalg import SubspaceBasis, uncurry
@@ -24,6 +27,23 @@ def endvee(name):
     doc = load_fixture(name)
     P = natvee(doc.category, doc.functor, doc.functor)
     return doc, P
+
+
+def test_readme_library_sketch_runs_on_a_shipped_fixture():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        sketch = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+
+    def open_fixture(path):
+        assert path == "my_category.json"
+        return io.StringIO(load_fixture_text("z2_character"))
+
+    names = {"open": open_fixture}
+    exec(sketch, names)
+    assert names["P"].quotient_dim == 2
+    assert names["hopf"].dim == 2
+    assert names["report"].passed
 
 
 def test_endvee_coalgebra_fixtures():
@@ -132,7 +152,7 @@ def test_rho_tilde_comatrix_bijective():
     assert rt.rows == 4 and rt.cols == 4
     assert rank(rt) == 4
     # basis bijection: each λ(e_j⊗φ_i) goes to a distinct basis tensor
-    cols = [tuple(rt.col(j)) for j in range(4)]
+    cols = [tuple(sorted(col.items())) for col in rt.sparse_cols()]
     assert len(set(cols)) == 4
 
 
