@@ -193,13 +193,8 @@ class TensorData:
             raise PresentationError("comparison s missing at (%s, %s)" % (c, d))
         return self.s[(c, d)]
 
-    def gen_tensor_id(self, gname, obj) -> Path:
-        return self._action(gname, obj)[0]
-
-    def id_tensor_gen(self, gname, obj) -> Path:
-        return self._action(gname, obj)[1]
-
-    def _action(self, gname, obj):
+    def action(self, gname, obj):
+        """The paths (g⊗id_C, id_C⊗g) of generator ``gname`` at ``obj``."""
         if (gname, obj) not in self.on_generators:
             raise PresentationError("tensor action of %s on %s missing" % (gname, obj))
         return self.on_generators[(gname, obj)]
@@ -213,10 +208,8 @@ def tensor_path_eval(cat, F, T: TensorData, p: Path, q: Path) -> Matrix:
     Both action paths are checked against the tensor table's endpoints.
     """
     mid = T.obj(p.dst, q.src)
-    first = (T.gen_tensor_id(p.gens[0], q.src) if p.gens
-             else cat.path((), at=mid))
-    second = (T.id_tensor_gen(q.gens[0], p.dst) if q.gens
-              else cat.path((), at=mid))
+    first = T.action(p.gens[0], q.src)[0] if p.gens else cat.path((), at=mid)
+    second = T.action(q.gens[0], p.dst)[1] if q.gens else cat.path((), at=mid)
     if (first.src, first.dst) != (T.obj(p.src, q.src), mid):
         raise PresentationError("path for %r⊗id_%s has wrong endpoints" % (p, q.src))
     if (second.src, second.dst) != (mid, T.obj(p.dst, q.dst)):
@@ -502,6 +495,10 @@ def load_document(doc: dict) -> JobDocument:
         on_generators = {name: _matrix(field, m, "matrix of %r" % name) for name, m
                          in _typed(fun.get("on_generators", {}), dict,
                                    "on_generators").items()}
+        for g in generators:    # [] also writes the 0 × d matrix into a 0-dim object
+            m = on_generators.get(g.name)
+            if m is not None and m.rows == 0 and on_objects.get(g.src, 0) > 0:
+                on_generators[g.name] = Matrix.zeros(field, 0, on_objects[g.src])
         functor = FiberFunctor(field, on_objects, on_generators)
 
     tensor = None

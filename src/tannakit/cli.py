@@ -2,16 +2,23 @@
 
 Subcommands: validate, reconstruct, lift, rho-tilde, nat, coherence,
 characters.  Input documents are JSON on stdin, via --input, or a shipped
-fixture via --fixture; --json switches to machine output.  The exit code
-is 0 when every check in the emitted report passes, 1 when one fails,
-and 2 when the input is rejected (an ``InputError``, reported only by
-``main``): one ``<source>: <message>`` line on stderr, or with --json
-``{"error": {"source": ..., "message": ...}}`` on stdout.  A command line
-that argparse rejects is an ``InputError`` sourced ``usage``: without
---json stderr shows argparse's own report of it (the usage line, then
-``<prog>: error: <message>``), and with --json anywhere on the command
-line it is the same JSON error.  A stdout closed by its reader ends the
-run with 141 (see ``main``).
+fixture via --fixture; --json switches to machine output.
+
+A document is checked in stages, each run only while every check before
+it passes: the functor, then the tensor data, then the duality data,
+which needs tensor data (``_functor_stage``, ``_tensor_stage``,
+``_duality_stage``).  ``reconstruct`` builds End^∨(F)'s coalgebra,
+bialgebra and Hopf algebra after the matching stage.
+
+The exit code is 0 when every check in the emitted report passes, 1
+when one fails, and 2 when the input is rejected (an ``InputError``,
+reported only by ``main``): one ``<source>: <message>`` line on stderr,
+or with --json ``{"error": {"source": ..., "message": ...}}`` on
+stdout.  A command line that argparse rejects is an ``InputError``
+sourced ``usage``: without --json stderr shows argparse's own report of
+it (the usage line, then ``<prog>: error: <message>``), and with --json
+anywhere on the command line it is the same JSON error.  A stdout closed
+by its reader ends the run with 141 (see ``main``).
 """
 
 import argparse
@@ -110,25 +117,42 @@ def _emit(payload: dict, report: Report, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_validate(args):
+def _functor_stage(args):
+    """Read the document and check its functor: ``(doc, report)``."""
     doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
-    if doc.tensor is not None and report.passed:
-        report.extend(validate_tensor_data(doc.category, doc.functor, doc.tensor))
-    if doc.duality is not None and report.passed:
-        if doc.tensor is None:
-            report.add(Check("duality_needs_tensor", False, residue="missing"))
-        else:
-            report.extend(validate_duality_data(doc.category, doc.functor,
-                                                doc.tensor, doc.duality))
+    return doc, validate_functor(doc.category, doc.functor)
+
+
+def _tensor_stage(doc, report) -> bool:
+    """Add the tensor checks once the report passes; True if they ran and pass."""
+    if doc.tensor is None or not report.passed:
+        return False
+    report.extend(validate_tensor_data(doc.category, doc.functor, doc.tensor))
+    return report.passed
+
+
+def _duality_stage(doc, report) -> bool:
+    """Add the duality checks once the report passes; True if they ran and
+    pass.  Without tensor data they are one failing ``duality_needs_tensor``."""
+    if doc.duality is None or not report.passed:
+        return False
+    if doc.tensor is None:
+        report.add(Check("duality_needs_tensor", False, residue="missing"))
+    else:
+        report.extend(validate_duality_data(doc.category, doc.functor,
+                                            doc.tensor, doc.duality))
+    return report.passed
+
+
+def cmd_validate(args):
+    doc, report = _functor_stage(args)
+    _tensor_stage(doc, report)
+    _duality_stage(doc, report)
     return _emit({"objects": doc.category.objects}, report, args.json)
 
 
 def cmd_reconstruct(args):
-    doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
+    doc, report = _functor_stage(args)
     if not report.passed:
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
@@ -137,19 +161,14 @@ def cmd_reconstruct(args):
     payload = {"quotient_dim": P.quotient_dim,
                "relation_rank": P.relation_span.dim}
     big = hopf = None
-    if doc.tensor is not None:
-        report.extend(validate_tensor_data(doc.category, doc.functor, doc.tensor))
-        if report.passed:
-            big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P,
-                                   coalgebra=coalg)
-            report.extend(big.checks())
-    if doc.duality is not None and big is not None:
-        report.extend(validate_duality_data(doc.category, doc.functor,
-                                            doc.tensor, doc.duality))
-        if report.passed:
-            hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
-                                   doc.duality, P, bialgebra=big)
-            report.extend(hopf.checks())
+    if _tensor_stage(doc, report):
+        big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P,
+                               coalgebra=coalg)
+        report.extend(big.checks())
+    if _duality_stage(doc, report):
+        hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
+                               doc.duality, P, bialgebra=big)
+        report.extend(hopf.checks())
     payload["structure"] = (hopf or big or coalg).to_json()
     if hopf is not None:
         try:
@@ -170,9 +189,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_lift(args):
-    doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
+    doc, report = _functor_stage(args)
     if not report.passed:
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
@@ -185,13 +202,10 @@ def cmd_lift(args):
 
 
 def cmd_rho_tilde(args):
-    doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
+    doc, report = _functor_stage(args)
     if doc.coalgebra is None or doc.comodules is None:
         report.add(Check("rho_tilde_inputs", False,
                          residue="needs coalgebra and comodules sections"))
-        return _emit({}, report, args.json)
     if not report.passed:
         return _emit({}, report, args.json)
     c = doc.coalgebra
@@ -225,9 +239,7 @@ def cmd_rho_tilde(args):
 
 
 def cmd_nat(args):
-    doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
+    doc, report = _functor_stage(args)
     if not report.passed:
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
@@ -278,16 +290,10 @@ def cmd_coherence(args):
 
 
 def cmd_characters(args):
-    doc = _read_document(args)
-    report = Report()
-    report.extend(validate_functor(doc.category, doc.functor))
-    if not report.passed:
-        return _emit({}, report, args.json)
-    if doc.tensor is None:
+    doc, report = _functor_stage(args)
+    if report.passed and doc.tensor is None:
         report.add(Check("characters_need_tensor", False, residue="missing"))
-        return _emit({}, report, args.json)
-    report.extend(validate_tensor_data(doc.category, doc.functor, doc.tensor))
-    if not report.passed:
+    if not _tensor_stage(doc, report):
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
     big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
@@ -298,15 +304,12 @@ def cmd_characters(args):
     except UnsupportedCoalgebraError as exc:
         report.add(Check("character_search", False, residue=str(exc)))
         return _emit(payload, report, args.json)
-    if doc.duality is not None:
-        report.extend(validate_duality_data(doc.category, doc.functor,
-                                            doc.tensor, doc.duality))
-        if report.passed:
-            hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
-                                   doc.duality, P, bialgebra=big)
-            table, crep = convolution_group(chars, hopf)
-            payload["character_table"] = table
-            report.extend(crep)
+    if _duality_stage(doc, report):
+        hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
+                               doc.duality, P, bialgebra=big)
+        table, crep = convolution_group(chars, hopf)
+        payload["character_table"] = table
+        report.extend(crep)
     return _emit(payload, report, args.json)
 
 

@@ -53,12 +53,7 @@ class CoendPresentation:
         self.relation_span = relation_span
         self.proj = proj
         self.free = free                      # ambient columns of the quotient basis
-        self.offsets = {}
-        off = 0
-        for obj, fd, gd in object_index:
-            self.offsets[obj] = off
-            off += fd * gd
-        self.ambient_dim = off
+        self.offsets, self.ambient_dim = _block_offsets(category, F, G)
         self.quotient_dim = proj.codomain_dim
 
     @property
@@ -134,17 +129,23 @@ class CoendPresentation:
         }
 
 
+def _block_offsets(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
+    """``(offsets, total)`` of the blocks of dim F(C)·G(C), one per object,
+    in the coend's ambient sum and in the naturality system alike."""
+    offsets = {}
+    total = 0
+    for obj in cat.objects:
+        offsets[obj] = total
+        total += F.dim(obj) * G.dim(obj)
+    return offsets, total
+
+
 def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     """One coend relation per generator f: C→C' and basis pair (i, j), as
     a sparse row ``{ambient index: value}``; returns ``(ambient, rows)``."""
     field = F.field
     zero = field.zero()
-    offs = {}
-    off = 0
-    for obj in cat.objects:
-        offs[obj] = off
-        off += F.dim(obj) * G.dim(obj)
-    ambient = off
+    offs, ambient = _block_offsets(cat, F, G)
     rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
@@ -208,12 +209,7 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
     """Solve the naturality equations θ_{C'}∘F(f) = G(f)∘θ_C exactly."""
     field = F.field
     zero = field.zero()
-    offs = {}
-    off = 0
-    for obj in cat.objects:
-        offs[obj] = off
-        off += G.dim(obj) * F.dim(obj)     # θ_C is G-dim × F-dim, row-major
-    total = off
+    offs, total = _block_offsets(cat, F, G)    # θ_C is G-dim × F-dim, row-major
     rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
@@ -305,16 +301,14 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
     return P_FH.push_to_quotient(ambient_map, "cocomposition")
 
 
-def pairing_bijection_report(P: CoendPresentation, N: EndSpace = None) -> Report:
-    """Verify pairing_to_nat is a linear bijection onto Nat(F, G).
+def pairing_bijection_report(P: CoendPresentation, N: EndSpace) -> Report:
+    """Verify pairing_to_nat is a linear bijection onto N = Nat(F, G).
 
     Rank check both ways: the images of the coordinate functionals span a
     space of dimension quotient_dim inside the naturality solution space,
     whose dimension must agree; and the two directions invert each other
     on bases.
     """
-    if N is None:
-        N = nat_space(P.category, P.F, P.G)
     field = P.field
     report = Report()
     q = P.quotient_dim

@@ -4,11 +4,11 @@ exact matrix identity, plus the convolution algebra, grouplike elements
 and characters.
 
 Comodules are left comodules throughout: ρ: M → B⊗M.  The symmetry ψ
-in the bialgebra law is an index map (``linalg.swap_perm``), applied
+in the bialgebra law is an index map (``linalg.middle_swap``), applied
 without building its matrix, and the coalgebra, comodule and
-comodule-morphism laws apply their tensor products through
-``linalg.kron_apply`` without building them.  The antipode laws are
-S ∗ id = u∘ε = id ∗ S, computed by ``convolution``.
+comodule-morphism laws and ``convolution`` (for the antipode laws
+S ∗ id = u∘ε = id ∗ S) apply their tensor products through
+``linalg.kron_apply`` without building them.
 
 Grouplikes of the coalgebra and characters of the algebra share one
 bounded exhaustive search (``_search_space``, sized against
@@ -19,7 +19,7 @@ index of the last element equal to each product.
 
 from itertools import product
 
-from .linalg import Matrix, kron, kron_apply, kron_perm, swap_perm
+from .linalg import Matrix, kron, kron_apply, middle_swap
 from .report import Check, Report, check_equal
 
 ENUMERATION_BOUND = 1 << 17  # largest space the bounded search enumerates
@@ -123,7 +123,7 @@ class BialgebraData:
         report = Report()
         report.extend(self.coalgebra.checks())
         report.extend(self.algebra.checks())
-        mid = kron_perm(kron_perm(range(n), swap_perm(n, n)), range(n))
+        mid = middle_swap(n, n, n, n)
         lhs = self.delta @ self.m
         rhs = kron(self.m, self.m).select_cols(mid) @ kron(self.delta, self.delta)
         report.add(check_equal("bialgebra_delta_m", lhs, rhs))
@@ -221,7 +221,7 @@ def convolution(f: Matrix, g: Matrix, C: CoalgebraData, A: AlgebraData) -> Matri
         raise ValueError("convolution operands must start at the coalgebra")
     if f.codomain_dim != A.dim or g.codomain_dim != A.dim:
         raise ValueError("convolution operands must land in the algebra")
-    return A.m @ kron(f, g) @ C.delta
+    return A.m @ kron_apply(f, g, C.delta)
 
 
 def convolve_functionals(xi1: Matrix, xi2: Matrix, C: CoalgebraData) -> Matrix:

@@ -32,9 +32,9 @@ multiplication by an entry equal to 1.
 
 Permutations of basis vectors, such as the factor swap ψ: V⊗W → W⊗V, are
 index tuples: ``perm[j]`` is the index that basis vector ``j`` is sent to.
-``swap_perm`` and ``kron_perm`` build them, ``Matrix.select_cols`` applies
-one on the right of a matrix without building it, and ``perm_matrix``
-builds the dense matrix only where a caller needs one.
+``swap_perm``, ``kron_perm`` and ``middle_swap`` build them, ``select_cols``
+applies one on the right of a matrix without building it, and
+``perm_matrix`` builds the dense matrix only where a caller needs one.
 
 ``curry`` and ``uncurry`` are the tensor–hom adjunction Hom(V⊗W^∨, B) ≅
 Hom(V, B⊗W), ``curry(h)[b·w + j][i] = h[b][i·w + j]``: coevaluations,
@@ -321,6 +321,11 @@ def kron_perm(p, q) -> tuple:
     """Tensor product of two permutations: e_i⊗e_j ↦ e_p[i]⊗e_q[j]."""
     n = len(q)
     return tuple(i * n + j for i in p for j in q)
+
+
+def middle_swap(left: int, a: int, b: int, right: int) -> tuple:
+    """id⊗ψ⊗id on dims (left, a, b, right): e_i⊗e_j⊗e_k⊗e_l ↦ e_i⊗e_k⊗e_j⊗e_l."""
+    return kron_perm(kron_perm(range(left), swap_perm(a, b)), range(right))
 
 
 def perm_matrix(field, perm) -> Matrix:

@@ -21,8 +21,8 @@ composition and ``(e1 * e2)`` for tensor.
 """
 
 from .fields import QQ, InputError
-from .linalg import (Matrix, curry, inverse, kron, kron_perm, perm_matrix,
-                     swap_perm, uncurry)
+from .linalg import (Matrix, curry, inverse, kron, kron_perm, middle_swap,
+                     perm_matrix, uncurry)
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
 
@@ -177,10 +177,8 @@ def _basis_perm(e, dims):
     if isinstance(e, Identity):
         return tuple(range(_word_dim(e.word, dims)))
     if isinstance(e, AdjacentSwap):
-        left = range(_word_dim(e.word[:e.pos], dims))
-        mid = swap_perm(dims[e.word[e.pos]], dims[e.word[e.pos + 1]])
-        right = range(_word_dim(e.word[e.pos + 2:], dims))
-        return kron_perm(kron_perm(left, mid), right)
+        return middle_swap(_word_dim(e.word[:e.pos], dims), dims[e.word[e.pos]],
+                           dims[e.word[e.pos + 1]], _word_dim(e.word[e.pos + 2:], dims))
     if isinstance(e, Compose):
         p = _basis_perm(e.first, dims)
         q = _basis_perm(e.then, dims)
@@ -344,4 +342,7 @@ def _split_word(body):
     body = body.strip()
     if not body:
         return ()
-    return tuple(atom.strip() for atom in body.split(","))
+    word = tuple(atom.strip() for atom in body.split(","))
+    if "" in word:
+        raise ExprError("empty atom name in word [%s]" % body)
+    return word

@@ -32,7 +32,7 @@ from .coend import (CoendPresentation, cocomposition, coevaluation, counit,
 from .hopf import (AlgebraData, BialgebraData, CoalgebraData, ComoduleData,
                    HopfData, check_comodule_morphism, convolve_functionals)
 from .linalg import (Matrix, SubspaceBasis, curry, inverse, kron, kron_apply,
-                     kron_perm, swap_perm, uncurry)
+                     middle_swap, swap_perm, uncurry)
 from .report import Check, Report, VerificationError, check_equal
 
 
@@ -58,7 +58,7 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
             sinv = inverse(smap)
             if sinv is None:
                 raise VerificationError("comparison s at (%s, %s) is singular" % (c, d))
-            mid = kron_perm(kron_perm(range(dc), swap_perm(dc, dd)), range(dd))
+            mid = middle_swap(dc, dc, dd, dd)
             block = (P.lam(T.obj(c, d))
                      @ kron(smap, sinv.transpose())).select_cols(mid)
             offc, offd = P.offsets[c], P.offsets[d]
@@ -80,10 +80,8 @@ def endvee_bialgebra(cat, F, T, P: CoendPresentation,
 
 
 def endvee_antipode(cat, F, T, D, P: CoendPresentation,
-                    bialgebra: BialgebraData = None) -> HopfData:
-    """Antipode from duality data: a∘λ_C = λ_{C^∧}∘swap∘(ι_C ⊗ ι'_C)."""
-    if bialgebra is None:
-        bialgebra = endvee_bialgebra(cat, F, T, P)
+                    bialgebra: BialgebraData) -> HopfData:
+    """Antipode on ``bialgebra``: a∘λ_C = λ_{C^∧}∘swap∘(ι_C ⊗ ι'_C)."""
     blocks = {}
     for obj, d, _ in P.object_index:
         dual = D.dual(obj)

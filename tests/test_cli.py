@@ -213,10 +213,16 @@ def test_coherence_word_dimension_capped(capsys):
 
 
 @pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
-                                  "(id[a] ; id[b])"])
+                                  "(id[a] ; id[b])", "id[a,,b]", "swap[,;0]"])
 def test_coherence_bad_expression_exits_with_one_line(capsys, expr):
     message = rejected(capsys, "coherence", expr, "id[a,b]")
     assert message.startswith("coherence:")
+
+
+def test_empty_atom_is_blamed_on_the_expression_not_on_dims(capsys):
+    message = rejected(capsys, "coherence", "id[a,,b]", "id[a,,b]",
+                       "--dims", "a=2,b=2")
+    assert message.startswith("coherence:") and "empty atom" in message
 
 
 def test_coherence_nesting_is_capped(capsys):
@@ -434,6 +440,34 @@ def run_document(monkeypatch, capsys, command, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code = main([command, "--json"])
     return code, json.loads(capsys.readouterr().out)
+
+
+def test_duality_without_tensor_fails_validate_and_reconstruct(monkeypatch, capsys):
+    doc = json.loads(load_fixture_text("z2_character"))
+    del doc["tensor"]
+    needs = {"name": "duality_needs_tensor", "passed": False, "residue": "missing"}
+    for command in ("validate", "reconstruct"):
+        code, report = run_document(monkeypatch, capsys, command, doc)
+        assert code == 1 and report["checks"][-1] == needs, command
+
+
+def test_generator_into_a_zero_dimensional_object(monkeypatch, capsys):
+    # g: a → z with dims 2 and 0 has the 0×2 matrix, written [] like 0×0
+    doc = {"field": "Q", "objects": ["a", "z"],
+           "generators": [{"name": "g", "src": "a", "dst": "z"},
+                          {"name": "h", "src": "z", "dst": "a"}],
+           "functor": {"on_objects": {"a": 2, "z": 0},
+                       "on_generators": {"g": [], "h": [[], []]}}}
+    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    assert (code, report["passed"]) == (0, True)
+    code, report = run_document(monkeypatch, capsys, "nat", doc)
+    assert (code, report["coend_dim"], report["nat_dim"]) == (0, 4, 4)
+    # a [] of any other shape is still a failing shape check
+    doc["functor"]["on_objects"]["z"] = 1
+    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "generator_shape:g", "generator_shape:h"]
 
 
 def test_characters_stops_at_failing_functor_report(monkeypatch, capsys):

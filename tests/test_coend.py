@@ -156,7 +156,8 @@ def test_pairing_zero():
 def test_pairing_roundtrip():
     doc = load_fixture("z2_regular")
     P = natvee(doc.category, doc.functor, doc.functor)
-    assert pairing_bijection_report(P).passed
+    N = nat_space(doc.category, doc.functor, doc.functor)
+    assert pairing_bijection_report(P, N).passed
 
 
 def test_nat_to_pairing_rejects_a_family_of_the_wrong_shape():

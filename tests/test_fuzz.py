@@ -60,3 +60,32 @@ def test_mutated_fixtures_end_in_a_report_or_an_input_error(monkeypatch, capsys)
             assert set(out) == {"error"} and out["error"]["message"], case
         else:
             assert code in (0, 1) and out["passed"] is (code == 0), case
+
+
+def test_reconstruct_rejects_what_validate_rejects(monkeypatch, capsys):
+    """``reconstruct`` applies the stage rules of ``validate``: whenever
+    ``validate`` exits 1 or 2, ``reconstruct`` exits with the same code.
+    Inputs: every fixture without its tensor section, then seeded
+    mutations."""
+    originals = {name: json.loads(load_fixture_text(name)) for name in FIXTURES}
+    cases = []
+    for name, doc in originals.items():
+        doc = copy.deepcopy(doc)
+        doc.pop("tensor", None)
+        cases.append(("%s without tensor" % name, doc))
+    rng = random.Random(1)
+    for round_ in range(200):
+        name = rng.choice(FIXTURES)
+        doc = copy.deepcopy(originals[name])
+        cases.append(("round %d: %s after %s" % (round_, name, mutate(rng, doc)), doc))
+
+    def exit_code(command, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code = main([command, "--json"])
+        capsys.readouterr()
+        return code
+
+    for case, doc in cases:
+        code = exit_code("validate", doc)
+        if code in (1, 2):
+            assert exit_code("reconstruct", doc) == code, case

@@ -9,7 +9,7 @@ import tannakit
 from tannakit import GF, Matrix, QQ, kron, load_document, rank, rref
 from tannakit.coend import cocomposition, natvee, relation_vectors
 from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
-                             kron_apply, kron_perm, perm_matrix,
+                             kron_apply, kron_perm, middle_swap, perm_matrix,
                              quotient, solve_matrix, swap_perm, uncurry)
 from tannakit.report import check_equal
 
@@ -317,7 +317,7 @@ def test_swap_perm_inverse():
 def test_select_cols_matches_dense_product(rng):
     for field in (QQ, GF(7)):
         for a, b, left, right in [(2, 3, 1, 1), (3, 2, 2, 1), (2, 2, 1, 3), (1, 4, 2, 2)]:
-            perm = kron_perm(kron_perm(range(left), swap_perm(a, b)), range(right))
+            perm = middle_swap(left, a, b, right)
             n = left * a * b * right
             dense = kron(kron(Matrix.identity(field, left), dense_swap(field, a, b)),
                          Matrix.identity(field, right))

@@ -248,9 +248,11 @@ def test_parse_empty_word():
 
 def test_parse_errors():
     for bad in ["swap[a,b]", "id[a", "(id[a] id[a])", "id[a] extra",
-                "swap[a,b;x]", "swap[a,b;]", "swap[a,b;1.0]"]:
+                "swap[a,b;x]", "swap[a,b;]", "swap[a,b;1.0]",
+                "id[a,,b]", "id[a, ,b]", "id[a,]", "swap[,;0]"]:
         with pytest.raises(ExprError):
             parse_expr(bad)
+    assert parse_expr("id[]").domain == parse_expr("id[ ]").domain == ()
 
 
 def test_parse_nesting_is_bounded():

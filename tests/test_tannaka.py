@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import tannakit
 from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
                       VerificationError, characters, check_comodule,
                       check_rep_correspondence, comodule_morphism_space,
                       endvee_antipode, endvee_bialgebra, endvee_coalgebra,
                       intertwines_all, kron, lift_functor, load_document,
                       morphism_image_span, natvee, rank, rho_tilde,
-                      standard_pairing)
+                      standard_pairing, tannaka)
 from tannakit.catpres import PresentationError
 from tannakit.cli import load_fixture_text
 from tannakit.coend import pairing_to_nat
@@ -29,7 +30,7 @@ def endvee(name):
     return doc, P
 
 
-def test_readme_library_sketch_runs_on_a_shipped_fixture():
+def test_readme_library_sketch_runs_on_a_shipped_fixture(monkeypatch):
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -39,11 +40,24 @@ def test_readme_library_sketch_runs_on_a_shipped_fixture():
         assert path == "my_category.json"
         return io.StringIO(load_fixture_text("z2_character"))
 
+    # each builder is counted under both names it is called by: the
+    # package namespace the sketch imports and the module other builders use
+    calls = {}
+    for name in ("endvee_coalgebra", "endvee_bialgebra"):
+        def counted(*args, _build=getattr(tannaka, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(tannaka, name, counted)
+        monkeypatch.setattr(tannakit, name, counted)
+
     names = {"open": open_fixture}
     exec(sketch, names)
     assert names["P"].quotient_dim == 2
     assert names["hopf"].dim == 2
     assert names["report"].passed
+    # the sketch's own coalgebra and the one lift_functor builds; no
+    # builder rebuilds what it was handed
+    assert calls == {"endvee_coalgebra": 2, "endvee_bialgebra": 1}
 
 
 def test_endvee_coalgebra_fixtures():
@@ -83,8 +97,9 @@ def test_endvee_bialgebra_trivial():
 
 def test_endvee_antipode_character_category():
     doc, P = endvee("z2_character")
+    big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
     hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
-                           doc.duality, P)
+                           doc.duality, P, bialgebra=big)
     assert hopf.checks().passed
     # each grouplike is its own inverse
     assert hopf.antipode == Matrix.identity(QQ, 2)
@@ -92,8 +107,9 @@ def test_endvee_antipode_character_category():
 
 def test_endvee_antipode_trivial():
     doc, P = endvee("trivial")
+    big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
     hopf = endvee_antipode(doc.category, doc.functor, doc.tensor,
-                           doc.duality, P)
+                           doc.duality, P, bialgebra=big)
     assert hopf.antipode == Matrix.identity(QQ, 1)
 
 
