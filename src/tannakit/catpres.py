@@ -287,6 +287,9 @@ def validate_tensor_data(cat, F, T: TensorData) -> Report:
 
     # symmetry square, only when the presentation declares ψ paths
     for (c, d), psi_path in T.symmetry.items():
+        if (psi_path.src, psi_path.dst) != (T.obj(c, d), T.obj(d, c)):
+            raise PresentationError("symmetry path for (%s, %s) has wrong endpoints"
+                                    % (c, d))
         fpsi = path_eval(cat, F, psi_path)
         lhs = fpsi @ T.s_map(c, d)
         rhs = T.s_map(d, c).select_cols(swap_perm(F.dim(c), F.dim(d)))

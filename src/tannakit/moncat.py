@@ -21,8 +21,8 @@ composition and ``(e1 * e2)`` for tensor.
 """
 
 from .fields import QQ, InputError
-from .linalg import (Matrix, curry, inverse, kron, kron_perm, middle_swap,
-                     perm_matrix, uncurry)
+from .linalg import (Matrix, curry, kron, kron_perm, middle_swap, perm_matrix,
+                     uncurry)
 
 Word = tuple  # tuple of atom-name strings; the empty word is the unit
 
@@ -252,22 +252,6 @@ def dual_map(f: Matrix, p_dom: DualPairing, p_cod: DualPairing) -> Matrix:
     dx, dy = p_dom.space_dim, p_cod.space_dim
     return (uncurry(p_cod.coeval, dy, dy).transpose() @ f.transpose()
             @ curry(p_dom.eval, dx, dx))
-
-
-def transport_pairing(p: DualPairing, pmat: Matrix) -> DualPairing:
-    """Transport a pairing along an invertible change of basis P of V.
-
-    Vectors move by P and functionals by P^{-∨}, so eval becomes
-    eval∘(P^∨⊗P^{-1}) and coeval becomes (P⊗P^{-∨})∘coeval.  The two
-    dual-slot factors are mutually inverse, which is exactly what keeps
-    both snake identities true.
-    """
-    pinv = inverse(pmat)
-    if pinv is None:
-        raise ValueError("transport needs an invertible matrix")
-    new_eval = p.eval @ kron(pmat.transpose(), pinv)
-    new_coeval = kron(pmat, pinv.transpose()) @ p.coeval
-    return DualPairing(p.space_dim, new_eval, new_coeval)
 
 
 # -- canonical text form ----------------------------------------------

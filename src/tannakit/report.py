@@ -32,8 +32,8 @@ class Check:
 
 
 class Report:
-    def __init__(self, checks=None):
-        self.checks = list(checks) if checks else []
+    def __init__(self):
+        self.checks = []
 
     def add(self, check: Check):
         self.checks.append(check)

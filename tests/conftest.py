@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +9,7 @@ import pytest
 
 from tannakit import (FiberFunctor, Matrix, PresentedCategory, QQ,
                       endvee_coalgebra, kron, load_document, natvee, rref)
-from tannakit.cli import load_fixture_text
+from tannakit.cli import load_fixture_text, main
 
 
 FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
@@ -19,6 +21,25 @@ DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
 
 def load_fixture(name):
     return load_document(json.loads(load_fixture_text(name)))
+
+
+def run_cli(argv, stdin=None):
+    """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` run in-process
+    with the text ``stdin`` (empty by default) as its standard input.
+
+    A ``SystemExit`` (argparse's ``--help``) gives its code, as
+    ``bench/worker.py`` maps it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin or ""), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def bare_object(dim, field=QQ):

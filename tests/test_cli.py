@@ -1,5 +1,4 @@
 import argparse
-import io
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ from tannakit.cli import load_fixture_text, main
 from tannakit.fields import GF, QQ
 from tannakit.report import Check, check_equal
 
-from conftest import DOCUMENT_COMMANDS, FIXTURES, cyclic_document
+from conftest import DOCUMENT_COMMANDS, FIXTURES, cyclic_document, run_cli
 
 BROKEN_DOC = {
     "field": "Q",
@@ -30,56 +29,48 @@ EMPTY_DOC = {"field": "Q", "objects": [], "generators": [], "relations": [],
              "functor": {"on_objects": {}, "on_generators": {}}}
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def rejected(capsys, *argv):
+def rejected(*argv, stdin=None):
     """The one stderr line of a run that rejects its input with exit code 2."""
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    return captured.err[:-1]
+    code, out, err = run_cli(list(argv), stdin)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err[:-1]
 
 
-def test_validate_fixture_passes(capsys):
-    code, out = run(capsys, "validate", "--fixture", "z2_character")
+def test_validate_fixture_passes():
+    code, out, _ = run_cli(["validate", "--fixture", "z2_character"])
     assert code == 0
     assert "result: ok" in out
 
 
-def test_validate_broken_relation_fails_with_name(tmp_path, capsys):
+def test_validate_broken_relation_fails_with_name(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(BROKEN_DOC))
-    code, out = run(capsys, "validate", "--input", str(path))
+    code, out, _ = run_cli(["validate", "--input", str(path)])
     assert code == 1
     assert "relation:0" in out and "g.g" in out
 
 
-def test_validate_empty_category_passes(tmp_path, capsys):
+def test_validate_empty_category_passes(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(EMPTY_DOC))
-    code, out = run(capsys, "validate", "--input", str(path))
+    code, out, _ = run_cli(["validate", "--input", str(path)])
     assert code == 0
 
 
-def test_validate_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EMPTY_DOC)))
-    code, out = run(capsys, "validate")
+def test_validate_reads_stdin():
+    code, out, _ = run_cli(["validate"], json.dumps(EMPTY_DOC))
     assert code == 0
 
 
-def test_negative_object_dimension_fails_validation(tmp_path, capsys):
+def test_negative_object_dimension_fails_validation(tmp_path):
     path = tmp_path / "negative.json"
     path.write_text(json.dumps({"objects": ["a"],
                                 "functor": {"on_objects": {"a": -2}}}))
     negative = {"name": "object_dim:a", "passed": False, "residue": "negative"}
     for command in ("validate", "reconstruct", "lift", "nat", "rho-tilde",
                     "characters"):
-        code, out = run(capsys, command, "--input", str(path), "--json")
+        code, out, _ = run_cli([command, "--input", str(path), "--json"])
         report = json.loads(out)
         assert code == 1 and not report["passed"]
         assert report["checks"][0] == negative
@@ -92,15 +83,13 @@ def test_negative_object_dimension_fails_validation(tmp_path, capsys):
     ("[]", "input must be a JSON object"),
     ("{}", 'input has no "functor" object'),
 ])
-def test_document_without_functor_object_exits_with_one_line(monkeypatch, capsys,
-                                                             text, message):
+def test_document_without_functor_object_exits_with_one_line(text, message):
     for command in ("validate", "reconstruct"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert rejected(capsys, command, "--field", "Q") == message
+        assert rejected(command, "--field", "Q", stdin=text) == message
 
 
-def test_reconstruct_character_fixture_json(capsys):
-    code, out = run(capsys, "reconstruct", "--fixture", "z2_character", "--json")
+def test_reconstruct_character_fixture_json():
+    code, out, _ = run_cli(["reconstruct", "--fixture", "z2_character", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["quotient_dim"] == 2
@@ -110,87 +99,86 @@ def test_reconstruct_character_fixture_json(capsys):
     assert "antipode" in payload["structure"]
 
 
-def test_reconstruct_trivial(capsys):
-    code, out = run(capsys, "reconstruct", "--fixture", "trivial", "--json")
+def test_reconstruct_trivial():
+    code, out, _ = run_cli(["reconstruct", "--fixture", "trivial", "--json"])
     assert code == 0
     assert json.loads(out)["quotient_dim"] == 1
 
 
-def test_reconstruct_regular_coalgebra_only(capsys):
-    code, out = run(capsys, "reconstruct", "--fixture", "z2_regular", "--json")
+def test_reconstruct_regular_coalgebra_only():
+    code, out, _ = run_cli(["reconstruct", "--fixture", "z2_regular", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["quotient_dim"] == 2
     assert "m" not in payload["structure"]
 
 
-def test_reports_are_byte_deterministic(capsys):
+def test_reports_are_byte_deterministic():
     outs = []
     for _ in range(2):
-        code, out = run(capsys, "reconstruct", "--fixture", "z2_character", "--json")
+        code, out, _ = run_cli(["reconstruct", "--fixture", "z2_character", "--json"])
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
 
 
-def test_lift_fixture(capsys):
-    code, out = run(capsys, "lift", "--fixture", "z2_regular", "--json")
+def test_lift_fixture():
+    code, out, _ = run_cli(["lift", "--fixture", "z2_regular", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert set(payload["coactions"]) == {"star"}
 
 
-def test_rho_tilde_comatrix(capsys):
-    code, out = run(capsys, "rho-tilde", "--fixture", "comatrix2", "--json")
+def test_rho_tilde_comatrix():
+    code, out, _ = run_cli(["rho-tilde", "--fixture", "comatrix2", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 4 and payload["bijective"] is True
 
 
-def test_rho_tilde_function_coalgebra(capsys):
-    code, out = run(capsys, "rho-tilde", "--fixture", "z2_function", "--json")
+def test_rho_tilde_function_coalgebra():
+    code, out, _ = run_cli(["rho-tilde", "--fixture", "z2_function", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["surjective"] is True and payload["injective"] is False
 
 
-def test_rho_tilde_requires_sections(capsys):
-    code, out = run(capsys, "rho-tilde", "--fixture", "z2_regular", "--json")
+def test_rho_tilde_requires_sections():
+    code, out, _ = run_cli(["rho-tilde", "--fixture", "z2_regular", "--json"])
     assert code == 1
     assert "rho_tilde_inputs" in out
 
 
-def test_nat_fixture(capsys):
-    code, out = run(capsys, "nat", "--fixture", "z2_regular", "--json")
+def test_nat_fixture():
+    code, out, _ = run_cli(["nat", "--fixture", "z2_regular", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["coend_dim"] == payload["nat_dim"] == 2
 
 
-def test_characters_fixture(capsys):
-    code, out = run(capsys, "characters", "--fixture", "z2_character", "--json")
+def test_characters_fixture():
+    code, out, _ = run_cli(["characters", "--fixture", "z2_character", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["character_table"] == [[0, 1], [1, 0]]
 
 
-def test_coherence_equal_pair(capsys):
-    code, out = run(capsys, "coherence",
-                    "(swap[x,y;0] ; swap[y,x;0])", "id[x,y]",
-                    "--dims", "x=2,y=3")
+def test_coherence_equal_pair():
+    code, out, _ = run_cli(["coherence", "(swap[x,y;0] ; swap[y,x;0])", "id[x,y]",
+                            "--dims", "x=2,y=3"])
     assert code == 0
     assert "PASS expressions_equal" in out
 
 
-def test_coherence_unequal_pair(capsys):
-    code, out = run(capsys, "coherence", "swap[x,x;0]", "id[x,x]")
+def test_coherence_unequal_pair():
+    code, out, _ = run_cli(["coherence", "swap[x,x;0]", "id[x,x]"])
     assert code == 1
     assert "FAIL expressions_equal" in out
 
 
-def test_coherence_cross_check_at_dimension_one(capsys):
+def test_coherence_cross_check_at_dimension_one():
     # both sides evaluate to the 1×1 identity, which the permutations predict
-    code, out = run(capsys, "coherence", "swap[a,a;0]", "id[a,a]", "--dims", "a=1")
+    code, out, _ = run_cli(["coherence", "swap[a,a;0]", "id[a,a]", "--dims", "a=1"])
     assert code == 1
     assert "FAIL expressions_equal" in out
     assert "PASS matrix_evaluation_agrees" in out
@@ -198,38 +186,38 @@ def test_coherence_cross_check_at_dimension_one(capsys):
 
 @pytest.mark.parametrize("dims", ["x", "x=y", "x=-1", "x=0", "x=2,y", "=2",
                                   "x=\u00b2", "x=2", "x=2,x=3"])
-def test_coherence_bad_dims_exit_with_one_line(capsys, dims):
+def test_coherence_bad_dims_exit_with_one_line(dims):
     # "x=2" leaves y without a dimension
-    message = rejected(capsys, "coherence", "swap[x,y;0]", "swap[x,y;0]",
+    message = rejected("coherence", "swap[x,y;0]", "swap[x,y;0]",
                        "--dims", dims)
     assert message.startswith("--dims")
 
 
-def test_coherence_word_dimension_capped(capsys):
+def test_coherence_word_dimension_capped():
     word = ",".join(["x"] * 11)
-    message = rejected(capsys, "coherence", "id[%s]" % word, "id[%s]" % word,
+    message = rejected("coherence", "id[%s]" % word, "id[%s]" % word,
                        "--dims", "x=2")
     assert "word dimension exceeds" in message
 
 
 @pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
                                   "(id[a] ; id[b])", "id[a,,b]", "swap[,;0]"])
-def test_coherence_bad_expression_exits_with_one_line(capsys, expr):
-    message = rejected(capsys, "coherence", expr, "id[a,b]")
+def test_coherence_bad_expression_exits_with_one_line(expr):
+    message = rejected("coherence", expr, "id[a,b]")
     assert message.startswith("coherence:")
 
 
-def test_empty_atom_is_blamed_on_the_expression_not_on_dims(capsys):
-    message = rejected(capsys, "coherence", "id[a,,b]", "id[a,,b]",
+def test_empty_atom_is_blamed_on_the_expression_not_on_dims():
+    message = rejected("coherence", "id[a,,b]", "id[a,,b]",
                        "--dims", "a=2,b=2")
     assert message.startswith("coherence:") and "empty atom" in message
 
 
-def test_coherence_nesting_is_capped(capsys):
+def test_coherence_nesting_is_capped():
     expr = "id[a]"
     for _ in range(1200):
         expr = "(%s ; id[a])" % expr
-    message = rejected(capsys, "coherence", expr, "id[a]")
+    message = rejected("coherence", expr, "id[a]")
     assert message == "coherence: expression nests deeper than 200"
 
 
@@ -247,23 +235,22 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-def test_unknown_fixture_errors(capsys):
-    message = rejected(capsys, "validate", "--fixture", "no_such_fixture")
+def test_unknown_fixture_errors():
+    message = rejected("validate", "--fixture", "no_such_fixture")
     assert message.startswith("unknown fixture 'no_such_fixture'; available: ")
 
 
-def test_unreadable_input_is_rejected(tmp_path, capsys):
+def test_unreadable_input_is_rejected(tmp_path):
     for path in (tmp_path / "missing.json", tmp_path):
-        message = rejected(capsys, "validate", "--input", str(path))
+        message = rejected("validate", "--input", str(path))
         assert message.startswith("cannot read input: [Errno ")
     undecodable = tmp_path / "undecodable.json"
     undecodable.write_bytes(b"\xff\xfe{")
-    rejected(capsys, "validate", "--input", str(undecodable))
+    rejected("validate", "--input", str(undecodable))
 
 
-def test_deeply_nested_json_is_rejected(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000 + "]" * 100000))
-    assert (rejected(capsys, "validate")
+def test_deeply_nested_json_is_rejected():
+    assert (rejected("validate", stdin="[" * 100000 + "]" * 100000)
             == "input JSON nests too deeply to decode")
 
 
@@ -276,10 +263,11 @@ def test_deeply_nested_json_is_rejected(monkeypatch, capsys):
     (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a"], "--dims"),
     (["coherence", "swap[a,b;0]", "swap[a,b;0]", "--dims", "a=2,b=3,a=5"], "--dims"),
 ])
-def test_json_error_carries_the_line(capsys, argv, source):
-    line = rejected(capsys, *argv)
-    assert main(argv + ["--json"]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
+def test_json_error_carries_the_line(argv, source):
+    line = rejected(*argv)
+    code, out, _ = run_cli(argv + ["--json"])
+    assert code == 2
+    error = json.loads(out)["error"]
     assert error["source"] == source
     assert line == ("%s: %s" % (source, error["message"]) if source
                     else error["message"])
@@ -305,12 +293,10 @@ def test_usage_error_keeps_the_argparse_report(monkeypatch, capsys, argv, messag
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["unknown", "value", "missing"])
-def test_usage_error_under_json_is_a_json_error(capsys, argv, message):
-    assert main(argv + ["--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out) == {"error": {"source": "usage",
-                                                  "message": message}}
+def test_usage_error_under_json_is_a_json_error(argv, message):
+    code, out, err = run_cli(argv + ["--json"])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": {"source": "usage", "message": message}}
 
 
 def test_help_still_exits_zero(capsys):
@@ -322,21 +308,21 @@ def test_help_still_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("flag", ["Fp:x", "Fp:", "Fp:5.0", "F7"])
-def test_field_flag_rejects_malformed_modulus(capsys, flag):
-    message = rejected(capsys, "validate", "--fixture", "trivial", "--field", flag)
+def test_field_flag_rejects_malformed_modulus(flag):
+    message = rejected("validate", "--fixture", "trivial", "--field", flag)
     assert message == "--field must be Q or Fp:<prime>"
 
 
-def test_field_override(tmp_path, capsys):
+def test_field_override(tmp_path):
     doc = dict(EMPTY_DOC)
     doc.pop("field")
     path = tmp_path / "nofield.json"
     path.write_text(json.dumps(doc))
-    code, out = run(capsys, "validate", "--input", str(path), "--field", "Fp:5")
+    code, out, _ = run_cli(["validate", "--input", str(path), "--field", "Fp:5"])
     assert code == 0
 
 
-def largest_allocation(monkeypatch, capsys, path, commands):
+def largest_allocation(monkeypatch, path, commands):
     """Entries of the largest ``Matrix`` that the commands allocate on the
     document at ``path``; each command must exit 0."""
     largest = [0]
@@ -354,49 +340,49 @@ def largest_allocation(monkeypatch, capsys, path, commands):
         patch.setattr(Matrix, "zeros", classmethod(recording_zeros))
         patch.setattr(Matrix, "__init__", recording_init)
         for command in commands:
-            code, out = run(capsys, command, "--input", str(path), "--json")
+            code, out, _ = run_cli([command, "--input", str(path), "--json"])
             assert code == 0, out
     return largest[0]
 
 
-def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch, capsys):
+def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch):
     # Δ, the coalgebra laws and the comodule laws contract one index at a
     # time, so no cyclic job allocates a Kronecker product of λ with itself
     n = 5
     ambient_dim = n * n
     path = tmp_path / "cyclic5.json"
     path.write_text(json.dumps(cyclic_document(n)))
-    largest = largest_allocation(monkeypatch, capsys, path,
+    largest = largest_allocation(monkeypatch, path,
                                  ("reconstruct", "lift", "rho-tilde"))
     assert 0 < largest <= ambient_dim ** 2
 
 
-def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch, capsys):
+def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch):
     # the relation and naturality systems are eliminated as sparse rows,
     # so the largest matrix nat builds is a λ or a projection
     n = 5
     ambient_dim = n * n
     path = tmp_path / "cyclic5.json"
     path.write_text(json.dumps(cyclic_document(n)))
-    largest = largest_allocation(monkeypatch, capsys, path, ("nat",))
+    largest = largest_allocation(monkeypatch, path, ("nat",))
     assert 0 < largest <= ambient_dim * n
 
 
 @pytest.mark.parametrize("modulus", ["4", "3317044064679887385961981"])
-def test_unusable_modulus_exits_with_one_line(tmp_path, capsys, modulus):
-    message = rejected(capsys, "validate", "--fixture", "z2_character",
+def test_unusable_modulus_exits_with_one_line(tmp_path, modulus):
+    message = rejected("validate", "--fixture", "z2_character",
                        "--field", "Fp:" + modulus)
     assert message.startswith("field:") and modulus in message
     doc = dict(EMPTY_DOC, field={"Fp": int(modulus)})
     path = tmp_path / "bad_field.json"
     path.write_text(json.dumps(doc))
-    assert rejected(capsys, "validate", "--input", str(path)) == message
+    assert rejected("validate", "--input", str(path)) == message
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_every_residue_is_zero_exactly_when_its_check_passes(capsys, fixture):
+def test_every_residue_is_zero_exactly_when_its_check_passes(fixture):
     for command in DOCUMENT_COMMANDS:
-        code, out = run(capsys, command, "--fixture", fixture, "--json")
+        code, out, _ = run_cli([command, "--fixture", fixture, "--json"])
         checks = json.loads(out)["checks"]
         assert checks
         for check in checks:
@@ -436,44 +422,43 @@ def test_check_equal_on_empty_and_mismatched_shapes():
                                "detail": {"lhs_shape": [2, 2], "rhs_shape": [2, 3]}}
 
 
-def run_document(monkeypatch, capsys, command, doc):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    code = main([command, "--json"])
-    return code, json.loads(capsys.readouterr().out)
+def run_document(command, doc):
+    code, out, _ = run_cli([command, "--json"], json.dumps(doc))
+    return code, json.loads(out)
 
 
-def test_duality_without_tensor_fails_validate_and_reconstruct(monkeypatch, capsys):
+def test_duality_without_tensor_fails_validate_and_reconstruct():
     doc = json.loads(load_fixture_text("z2_character"))
     del doc["tensor"]
     needs = {"name": "duality_needs_tensor", "passed": False, "residue": "missing"}
     for command in ("validate", "reconstruct"):
-        code, report = run_document(monkeypatch, capsys, command, doc)
+        code, report = run_document(command, doc)
         assert code == 1 and report["checks"][-1] == needs, command
 
 
-def test_generator_into_a_zero_dimensional_object(monkeypatch, capsys):
+def test_generator_into_a_zero_dimensional_object():
     # g: a → z with dims 2 and 0 has the 0×2 matrix, written [] like 0×0
     doc = {"field": "Q", "objects": ["a", "z"],
            "generators": [{"name": "g", "src": "a", "dst": "z"},
                           {"name": "h", "src": "z", "dst": "a"}],
            "functor": {"on_objects": {"a": 2, "z": 0},
                        "on_generators": {"g": [], "h": [[], []]}}}
-    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    code, report = run_document("validate", doc)
     assert (code, report["passed"]) == (0, True)
-    code, report = run_document(monkeypatch, capsys, "nat", doc)
+    code, report = run_document("nat", doc)
     assert (code, report["coend_dim"], report["nat_dim"]) == (0, 4, 4)
     # a [] of any other shape is still a failing shape check
     doc["functor"]["on_objects"]["z"] = 1
-    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    code, report = run_document("validate", doc)
     assert code == 1
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [
         "generator_shape:g", "generator_shape:h"]
 
 
-def test_characters_stops_at_failing_functor_report(monkeypatch, capsys):
+def test_characters_stops_at_failing_functor_report():
     doc = json.loads(load_fixture_text("z2_character"))
     del doc["functor"]["on_objects"]["one"]
-    code, report = run_document(monkeypatch, capsys, "characters", doc)
+    code, report = run_document("characters", doc)
     assert code == 1
     assert report["checks"] == [{"name": "object_dim:one", "passed": False,
                                  "residue": "missing"}]
@@ -492,23 +477,22 @@ def zero_rows(rows, cols):
     ("coalgebra", "delta", zero_rows(3, 2), [("rho_tilde_inputs", "shape")]),
 ], ids=["not-a-comodule", "zero-delta", "comodule-shape", "no-comodules",
         "delta-shape"])
-def test_rho_tilde_reports_bad_inputs(monkeypatch, capsys, section, key, value,
-                                      failing):
+def test_rho_tilde_reports_bad_inputs(section, key, value, failing):
     doc = json.loads(load_fixture_text("z2_function"))
     if key is None:
         doc[section] = {}
     else:
         doc[section][key] = value
-    code, report = run_document(monkeypatch, capsys, "rho-tilde", doc)
+    code, report = run_document("rho-tilde", doc)
     assert code == 1 and not report["passed"]
     assert [(c["name"], c["residue"]) for c in report["checks"]
             if not c["passed"]] == failing
     assert "rho_tilde" not in report
 
 
-def test_rho_tilde_passing_document_unchanged(monkeypatch, capsys):
+def test_rho_tilde_passing_document_unchanged():
     doc = json.loads(load_fixture_text("z2_function"))
-    code, report = run_document(monkeypatch, capsys, "rho-tilde", doc)
+    code, report = run_document("rho-tilde", doc)
     assert code == 0
     assert [c["name"] for c in report["checks"]] == [
         "functor:no_relations", "coassociativity", "counit_left",
@@ -549,6 +533,17 @@ def _relation_with_different_endpoints(doc):
                         "on_generators": {"g": [["1"]]}})
 
 
+def _symmetry_with_wrong_endpoints(doc):
+    # z of dimension 0 absorbs every object; ψ_{I,z} must run from I⊗z = z
+    # to z⊗I = z, and the empty path at I does not
+    del doc["duality"]
+    doc["objects"].append("z")
+    doc["functor"]["on_objects"]["z"] = 0
+    doc["tensor"]["on_objects"] += [["I", "z", "z"], ["z", "I", "z"], ["z", "z", "z"]]
+    doc["tensor"]["s"].update({"I,z": [], "z,I": [], "z,z": []})
+    doc["tensor"]["symmetry"] = {"I,z": {"at": "I"}}
+
+
 MALFORMED = [
     ("z2_regular", _set(("functor", "on_objects", "star"), "x"), "document:"),
     ("z2_regular", _set(("functor", "on_objects", "star"), 1.5), "document:"),
@@ -573,6 +568,7 @@ MALFORMED = [
     ("z2_character", _set(("duality", "dual_of", "one"), "nowhere"), "document:"),
     ("z2_regular", _set(("field",), {"Fp": "x"}), "field:"),
     ("trivial", _set(("objects",), ["I", "I"]), "document:"),
+    ("trivial", _symmetry_with_wrong_endpoints, "document:"),
 ]
 
 
@@ -582,30 +578,29 @@ MALFORMED = [
     "objects-number", "generators-number", "one-sided-relation",
     "relation-unknown-generator", "relation-endpoints", "tensor-no-unit",
     "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
-    "field-modulus-text", "duplicate-object"])
+    "field-modulus-text", "duplicate-object", "symmetry-endpoints"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
-def test_malformed_document_exits_with_one_line(monkeypatch, capsys, command,
-                                                fixture, mutate, prefix):
+def test_malformed_document_exits_with_one_line(command, fixture, mutate, prefix):
     doc = json.loads(load_fixture_text(fixture))
     mutate(doc)
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    assert main([command, "--json"]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    message = "%s: %s" % (error["source"], error["message"])
-    assert message.startswith(prefix) and "\n" not in message
+    line = rejected(command, stdin=json.dumps(doc))
+    code, out, _ = run_cli([command, "--json"], json.dumps(doc))
+    error = json.loads(out)["error"]
+    assert code == 2 and line == "%s: %s" % (error["source"], error["message"])
+    assert line.startswith(prefix)
 
 
-def test_missing_dimension_fails_every_command(monkeypatch, capsys):
+def test_missing_dimension_fails_every_command():
     doc = json.loads(load_fixture_text("z2_regular"))
     del doc["functor"]["on_objects"]["star"]
     for command in DOCUMENT_COMMANDS:
-        code, report = run_document(monkeypatch, capsys, command, doc)
+        code, report = run_document(command, doc)
         assert code == 1 and not report["passed"]
         assert report["checks"][0] == {"name": "object_dim:star",
                                        "passed": False, "residue": "missing"}
 
 
-def test_non_square_s_is_not_invertible(monkeypatch, capsys):
+def test_non_square_s_is_not_invertible():
     # a⊗a = I with dims 2 and 1: the 1×4 s_{a,a} has a right inverse but
     # is no isomorphism F(a)⊗F(a) → F(I)
     ident2 = [["1", "0"], ["0", "1"]]
@@ -617,7 +612,7 @@ def test_non_square_s_is_not_invertible(monkeypatch, capsys):
                       "s": {"I,I": [["1"]], "I,a": ident2, "a,I": ident2,
                             "a,a": [["1", "0", "0", "1"]]},
                       "f_unit": [["1"]]}}
-    code, report = run_document(monkeypatch, capsys, "validate", doc)
+    code, report = run_document("validate", doc)
     assert code == 1
     assert [(c["name"], c["passed"]) for c in report["checks"]
             if c["name"].startswith("s_invertible")] == [

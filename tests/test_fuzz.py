@@ -6,13 +6,12 @@ Each round makes one random edit to a fixture and runs it through
 """
 
 import copy
-import io
 import json
 import random
 
-from tannakit.cli import load_fixture_text, main
+from tannakit.cli import load_fixture_text
 
-from conftest import DOCUMENT_COMMANDS, FIXTURES
+from conftest import DOCUMENT_COMMANDS, FIXTURES, run_cli
 
 REPLACEMENTS = [None, True, 0, 1, 2, -1, 1.5, "", "x", "0", "1", "-1", "1/0",
                 "star", [], [[]], [["1"]], {}, {"at": "star"}, {"Fp": 4}]
@@ -40,7 +39,7 @@ def mutate(rng, doc):
     return "set %r to %r" % (key, parent[key])
 
 
-def test_mutated_fixtures_end_in_a_report_or_an_input_error(monkeypatch, capsys):
+def test_mutated_fixtures_end_in_a_report_or_an_input_error():
     rng = random.Random(4)
     originals = {name: json.loads(load_fixture_text(name)) for name in FIXTURES}
     for round_ in range(ROUNDS):
@@ -48,21 +47,20 @@ def test_mutated_fixtures_end_in_a_report_or_an_input_error(monkeypatch, capsys)
         doc = copy.deepcopy(originals[name])
         edit = mutate(rng, doc)
         case = "round %d: %s on %s after %s" % (round_, command, name, edit)
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        # a SystemExit leaves no JSON on stdout, so it fails here too
         try:
-            code = main([command, "--json"])
-        except (Exception, SystemExit) as exc:
+            code, out, err = run_cli([command, "--json"], json.dumps(doc))
+            out = json.loads(out)
+        except Exception as exc:
             raise AssertionError("%s raised %r" % (case, exc)) from exc
-        captured = capsys.readouterr()
-        out = json.loads(captured.out)
-        assert captured.err == "", case
+        assert err == "", case
         if code == 2:
             assert set(out) == {"error"} and out["error"]["message"], case
         else:
             assert code in (0, 1) and out["passed"] is (code == 0), case
 
 
-def test_reconstruct_rejects_what_validate_rejects(monkeypatch, capsys):
+def test_reconstruct_rejects_what_validate_rejects():
     """``reconstruct`` applies the stage rules of ``validate``: whenever
     ``validate`` exits 1 or 2, ``reconstruct`` exits with the same code.
     Inputs: every fixture without its tensor section, then seeded
@@ -79,13 +77,7 @@ def test_reconstruct_rejects_what_validate_rejects(monkeypatch, capsys):
         doc = copy.deepcopy(originals[name])
         cases.append(("round %d: %s after %s" % (round_, name, mutate(rng, doc)), doc))
 
-    def exit_code(command, doc):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-        code = main([command, "--json"])
-        capsys.readouterr()
-        return code
-
     for case, doc in cases:
-        code = exit_code("validate", doc)
+        code = run_cli(["validate", "--json"], json.dumps(doc))[0]
         if code in (1, 2):
-            assert exit_code("reconstruct", doc) == code, case
+            assert run_cli(["reconstruct", "--json"], json.dumps(doc))[0] == code, case

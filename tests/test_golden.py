@@ -1,39 +1,108 @@
-import contextlib
-import io
+"""Golden files of the CLI's exact output, and of the serialized coend.
+
+``GOLDEN`` maps each CLI golden file to the function that produces it;
+``python tests/test_golden.py`` rewrites all of them, and a diff there is
+a change of the program's output.  The two ``*_coend.json`` files are
+compared only.
+"""
+
+import hashlib
+import importlib.util
 import json
 import os
 
+import pytest
+
 from tannakit import natvee
-from tannakit.cli import main
 
-from conftest import FIXTURES, load_fixture
+from conftest import (DOCUMENT_COMMANDS, FIXTURES, cyclic_document, load_fixture,
+                      run_cli)
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-CLI_GOLDEN = os.path.join(GOLDEN_DIR, "cli_outputs.json")
-CLI_SUBCOMMANDS = ["validate", "reconstruct", "lift", "nat", "rho-tilde",
-                   "characters"]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+# Z/6 on its regular representation by the shift conjugated by a fixed
+# monomial matrix, so that over Q the entries have denominators; the
+# ambient space of End^∨ has dimension 36, and the relation and
+# naturality systems are 36×36, so elimination is real
+CYCLIC_N = 6
+CYCLIC_PERM = [3, 0, 5, 1, 4, 2]
+CYCLIC_DIAG = [2, -3, 1, 3, -1, -2]
+CYCLIC_FIELDS = {"Q": None, "F101": 101}
 
 
 def cli_outputs():
-    """Exit code and exact ``--json`` stdout per (subcommand, fixture)."""
+    """Exit code and exact ``--json`` stdout per (command, fixture)."""
     outputs = {}
-    for cmd in CLI_SUBCOMMANDS:
+    for cmd in DOCUMENT_COMMANDS:
         for name in FIXTURES:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main([cmd, "--fixture", name, "--json"])
-            outputs["%s %s" % (cmd, name)] = {"exit": code,
-                                              "stdout": buf.getvalue()}
+            code, out, _ = run_cli([cmd, "--fixture", name, "--json"])
+            outputs["%s %s" % (cmd, name)] = {"exit": code, "stdout": out}
     return outputs
+
+
+def cyclic_outputs():
+    """Exit code and exact ``--json`` stdout per (command, field) on cyclic
+    Z/6, with the document on stdin."""
+    outputs = {}
+    for label, p in CYCLIC_FIELDS.items():
+        doc = json.dumps(cyclic_document(CYCLIC_N, p, CYCLIC_PERM, CYCLIC_DIAG))
+        for cmd in ("nat", "reconstruct", "rho-tilde", "lift"):
+            code, out, _ = run_cli([cmd, "--json"], doc)
+            outputs["%s %s" % (cmd, label)] = {"exit": code, "stdout": out}
+    return outputs
+
+
+def bench_digests():
+    """Exit code and sha256 of stdout per (seed, job) over one round of each
+    benchmark workload at seeds 1 and 2, with the job's document on stdin
+    as ``bench/worker.py`` runs it.  ``bench/gen.py`` is loaded from its
+    path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", os.path.join(ROOT, "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    digests = {}
+    for seed in (1, 2):
+        for workload in gen.WORKLOADS:
+            for job in gen.round_jobs(workload, seed):
+                code, out, _ = run_cli(job["argv"], job["stdin"])
+                digests["%d %s" % (seed, job["id"])] = {
+                    "exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    return digests
+
+
+GOLDEN = {"cli_outputs.json": cli_outputs,
+          "cyclic_outputs.json": cyclic_outputs,
+          "bench_digests.json": bench_digests}
+
+
+def read_golden(name):
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_output_matches_golden(name):
+    golden = read_golden(name)
+    current = GOLDEN[name]()
+    assert sorted(current) == sorted(golden)
+    for key, expected in golden.items():
+        assert current[key] == expected, key
+
+
+def test_cyclic_reconstruct_is_the_regular_quotient():
+    golden = read_golden("cyclic_outputs.json")
+    for label in CYCLIC_FIELDS:
+        payload = json.loads(golden["reconstruct %s" % label]["stdout"])
+        assert (payload["quotient_dim"], payload["relation_rank"]) == (
+            CYCLIC_N, CYCLIC_N * CYCLIC_N - CYCLIC_N)
 
 
 def test_coend_serialization_matches_golden_files():
     for name in ["z2_regular", "z2_character"]:
         doc = load_fixture(name)
         P = natvee(doc.category, doc.functor, doc.functor)
-        with open(os.path.join(GOLDEN_DIR, "%s_coend.json" % name)) as fh:
-            golden = json.load(fh)
-        assert P.to_json() == golden
+        assert P.to_json() == read_golden("%s_coend.json" % name)
 
 
 def test_coend_serialization_is_deterministic():
@@ -43,17 +112,8 @@ def test_coend_serialization_is_deterministic():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_cli_json_output_is_byte_identical_to_golden():
-    with open(CLI_GOLDEN) as fh:
-        golden = json.load(fh)
-    current = cli_outputs()
-    assert sorted(current) == sorted(golden)
-    for key, expected in golden.items():
-        assert current[key] == expected, key
-
-
 if __name__ == "__main__":
-    # Regenerate the CLI golden file: python tests/test_golden.py
-    with open(CLI_GOLDEN, "w") as fh:
-        json.dump(cli_outputs(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for name, produce in GOLDEN.items():
+        with open(os.path.join(GOLDEN_DIR, name), "w") as fh:
+            json.dump(produce(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
