@@ -61,18 +61,26 @@ class Path:
 class PresentedCategory:
     def __init__(self, objects, generators, relations=()):
         self.objects = list(objects)
-        for obj in self.objects:
-            if self.objects.count(obj) > 1:
+        self._last = {obj: i for i, obj in enumerate(self.objects)}  # last index
+        for i, obj in enumerate(self.objects):
+            if self._last[obj] != i:
                 raise PresentationError("duplicate object name %r" % obj)
         self.generators = list(generators)
         self._by_name = {}
         for g in self.generators:
             if g.name in self._by_name:
                 raise PresentationError("duplicate generator name %r" % g.name)
-            if g.src not in self.objects or g.dst not in self.objects:
+            if not (self.has_object(g.src) and self.has_object(g.dst)):
                 raise PresentationError("generator %r has unknown endpoint" % g.name)
             self._by_name[g.name] = g
         self.relations = [self._check_relation(lhs, rhs) for lhs, rhs in relations]
+
+    def has_object(self, x) -> bool:
+        """``x in objects`` by hash; an unhashable JSON list or dict is none."""
+        try:
+            return x in self._last
+        except TypeError:
+            return False
 
     def generator(self, name) -> Generator:
         if name not in self._by_name:
@@ -85,7 +93,7 @@ class PresentedCategory:
         if not gens:
             if at is None:
                 raise PresentationError("empty path needs an object")
-            if at not in self.objects:
+            if not self.has_object(at):
                 raise PresentationError("unknown object %r" % at)
             return Path(at, at)
         src = self.generator(gens[0]).src
@@ -508,12 +516,12 @@ def load_document(doc: dict) -> JobDocument:
     if "tensor" in doc:
         t = _typed(doc["tensor"], dict, "tensor")
         unit = _key(t, "unit", "tensor")
-        if unit not in objects:
+        if not cat.has_object(unit):
             raise PresentationError("tensor unit %r is not an object" % (unit,))
         table = {}
         for entry in _typed(t.get("on_objects", []), list, "tensor on_objects"):
             if len(_typed(entry, list, "tensor table entry")) != 3 \
-                    or any(x not in objects for x in entry):
+                    or not all(map(cat.has_object, entry)):
                 raise PresentationError("tensor table entry %r is not three objects"
                                         % (entry,))
             a, b, c = entry
@@ -538,7 +546,7 @@ def load_document(doc: dict) -> JobDocument:
         d = _typed(doc["duality"], dict, "duality")
         dual_of = _typed(_key(d, "dual_of", "duality"), dict, "dual_of")
         for obj, dual in dual_of.items():
-            if dual not in objects:
+            if not cat.has_object(dual):
                 raise PresentationError("dual_of %r is %r, not an object" % (obj, dual))
         eta, eps = ({k: _decode_path(cat, v) for k, v
                      in _typed(d.get(key, {}), dict, key).items()}

@@ -1,19 +1,20 @@
 """The predual of the natural-transformation space, computed exactly.
 
-``natvee`` realizes Nat^∨(F, G) as an explicit quotient of the direct sum
-⊕_C F(C)⊗G(C)^∨ by the span of one relation vector per generator and
-basis pair: the block of e_i ⊗ G(f)^∨ e_j^∨ at the source minus the block
-of F(f) e_i ⊗ e_j^∨ at the target.  Relations from generating morphisms
-suffice: the relation vector of a composite splits as a sum of generator
-relations, and identities contribute zero (unit-tested).  Each relation
-has at most dim G(C) + dim F(C') nonzeros in an ambient space of
-dimension Σ_C dim F(C)·dim G(C), so ``natvee`` builds the relations as
-sparse rows and hands them to ``SubspaceBasis``, which keeps its rank
-rows sparse; ``quotient`` reads them as they are, and only the
-projection and the maps out of the quotient are dense ``Matrix`` values.
-``relation_vectors`` returns the same relations as dense lists; nothing
-in the package calls it, and it stays as an independent input for the
-rank oracles of the tests.
+``CoendPresentation(cat, F, G)``, which ``natvee`` returns for two
+functors over one field, realizes Nat^∨(F, G) as an explicit quotient of
+the direct sum ⊕_C F(C)⊗G(C)^∨ by the span of one relation vector per
+generator and basis pair: the block of e_i ⊗ G(f)^∨ e_j^∨ at the source
+minus the block of F(f) e_i ⊗ e_j^∨ at the target.  Relations from
+generating morphisms suffice: the relation vector of a composite splits
+as a sum of generator relations, and identities contribute zero
+(unit-tested).  Each relation has at most dim G(C) + dim F(C') nonzeros
+in an ambient space of dimension Σ_C dim F(C)·dim G(C), so the
+presentation builds them as sparse rows and hands them to
+``SubspaceBasis``, which keeps its rank rows sparse; ``quotient`` reads
+them as they are, and only the projection and the maps out of the
+quotient are dense ``Matrix`` values.  ``relation_vectors`` returns the
+same relations as dense lists; nothing in the package calls it, and it
+stays as an independent input for the rank oracles of the tests.
 
 ``nat_space`` computes Nat(F, G) on the other side of the predual pairing
 as the solution space of the naturality equations, which it builds as
@@ -42,29 +43,26 @@ from .report import Check, Report, VerificationError
 
 
 class CoendPresentation:
-    """Nat^∨(F, G) with its block inclusions λ_C and quotient data."""
+    """Nat^∨(F, G) with its block inclusions λ_C and quotient data, all
+    derived from the category and the two functors: ``object_index``
+    (object, F-dim, G-dim), the block ``offsets`` in the ambient sum, the
+    ``relation_span``, and ``proj`` with ``free``, the ambient columns of
+    the quotient basis."""
 
-    def __init__(self, category, F, G, object_index, relation_span,
-                 proj, free):
-        self.category = category
+    def __init__(self, category, F, G):
+        self.field = F.field
         self.F = F
         self.G = G
-        self.object_index = object_index      # list of (object, F-dim, G-dim)
-        self.relation_span = relation_span
-        self.proj = proj
-        self.free = free                      # ambient columns of the quotient basis
+        self.object_index = [(obj, F.dim(obj), G.dim(obj)) for obj in category.objects]
+        self._block_dims = {obj: (fd, gd) for obj, fd, gd in self.object_index}
         self.offsets, self.ambient_dim = _block_offsets(category, F, G)
-        self.quotient_dim = proj.codomain_dim
-
-    @property
-    def field(self):
-        return self.proj.field
+        self.relation_span = SubspaceBasis(
+            self.field, self.ambient_dim, _relation_rows(category, F, G, self.offsets))
+        self.proj, self.free = quotient(self.ambient_dim, self.relation_span)
+        self.quotient_dim = self.proj.codomain_dim
 
     def block_dims(self, obj):
-        for o, fd, gd in self.object_index:
-            if o == obj:
-                return fd, gd
-        raise KeyError("object %r not in coend index" % obj)
+        return self._block_dims[obj]
 
     def lam(self, obj) -> Matrix:
         """λ_C: F(C)⊗G(C)^∨ → quotient, the columns of proj at the block."""
@@ -140,12 +138,11 @@ def _block_offsets(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     return offsets, total
 
 
-def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
+def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor, offs):
     """One coend relation per generator f: C→C' and basis pair (i, j), as
-    a sparse row ``{ambient index: value}``; returns ``(ambient, rows)``."""
+    a sparse row ``{ambient index: value}``, with the blocks at ``offs``."""
     field = F.field
     zero = field.zero()
-    offs, ambient = _block_offsets(cat, F, G)
     rows = []
     for g in cat.generators:
         src, dst = g.src, g.dst
@@ -163,20 +160,15 @@ def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
                     pos = offs[dst] + l * gd_dst + j
                     row[pos] = field.sub(row.get(pos, zero), coeff)
                 rows.append(row)
-    return ambient, rows
+    return rows
 
 
 def relation_vectors(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     """The rows of ``_relation_rows`` as dense lists of length ``ambient``."""
-    ambient, rows = _relation_rows(cat, F, G)
+    offs, ambient = _block_offsets(cat, F, G)
     zero = F.field.zero()
-    vectors = []
-    for row in rows:
-        vec = [zero] * ambient
-        for c, x in row.items():
-            vec[c] = x
-        vectors.append(vec)
-    return ambient, vectors
+    return ambient, [[row.get(c, zero) for c in range(ambient)]
+                     for row in _relation_rows(cat, F, G, offs)]
 
 
 def natvee(cat: PresentedCategory, F: FiberFunctor,
@@ -184,20 +176,13 @@ def natvee(cat: PresentedCategory, F: FiberFunctor,
     """Compute Nat^∨(F, G) as an explicit quotient presentation."""
     if F.field != G.field:
         raise ValueError("functors live over different fields")
-    ambient, rows = _relation_rows(cat, F, G)
-    span = SubspaceBasis(F.field, ambient, rows)
-    proj, free = quotient(ambient, span)
-    object_index = [(obj, F.dim(obj), G.dim(obj)) for obj in cat.objects]
-    return CoendPresentation(cat, F, G, object_index, span, proj, free)
+    return CoendPresentation(cat, F, G)
 
 
 class EndSpace:
     """Nat(F, G) as a basis of natural families (object ↦ matrix)."""
 
-    def __init__(self, category, F, G, basis):
-        self.category = category
-        self.F = F
-        self.G = G
+    def __init__(self, basis):
         self.basis = basis
 
     @property
@@ -234,7 +219,7 @@ def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSp
             column = Matrix.from_rows(field, [{0: vec.get(k, zero)} for k in block], 1)
             family[obj] = uncurry(column, gd, fd)
         basis.append(family)
-    return EndSpace(cat, F, G, basis)
+    return EndSpace(basis)
 
 
 def pairing_to_nat(P: CoendPresentation, xi: Matrix) -> dict:

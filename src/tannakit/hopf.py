@@ -8,13 +8,13 @@ in the bialgebra law is an index map (``linalg.middle_swap``), applied
 without building its matrix, and the coalgebra, comodule and
 comodule-morphism laws and ``convolution`` (for the antipode laws
 S ∗ id = u∘ε = id ∗ S) apply their tensor products through
-``linalg.kron_apply`` without building them.
-
-Grouplikes of the coalgebra and characters of the algebra share one
-bounded exhaustive search (``_search_space``, sized against
-``ENUMERATION_BOUND`` before anything is enumerated) filtered by the
-definition, and one group table (``_group_table``) whose entries are the
-index of the last element equal to each product.
+``linalg.kron_apply`` without building them.  The algebra laws of (m, u)
+are the coalgebra laws of (mᵀ, uᵀ) with each side transposed back, and a
+character χ is a grouplike χᵀ of (mᵀ, uᵀ); so grouplikes and characters
+share one bounded exhaustive search (``_search_space``, sized against
+``ENUMERATION_BOUND`` before anything is enumerated) filtered by
+``is_grouplike``, and one group table (``_group_table``) whose entries
+are the index of the last element equal to each product.
 """
 
 from itertools import product
@@ -23,6 +23,15 @@ from .linalg import Matrix, kron, kron_apply, middle_swap
 from .report import Check, Report, check_equal
 
 ENUMERATION_BOUND = 1 << 17  # largest space the bounded search enumerates
+
+
+def _coalgebra_laws(delta: Matrix, eps: Matrix):
+    """Both sides of coassociativity, counit_left and counit_right for a
+    pair (δ, ε), each tensor product applied through ``kron_apply``."""
+    ident = Matrix.identity(delta.field, delta.cols)
+    return [(kron_apply(delta, ident, delta), kron_apply(ident, delta, delta)),
+            (kron_apply(eps, ident, delta), ident),
+            (kron_apply(ident, eps, delta), ident)]
 
 
 class CoalgebraData:
@@ -42,16 +51,10 @@ class CoalgebraData:
         return self.delta.field
 
     def checks(self) -> Report:
-        field = self.field
-        ident = Matrix.identity(field, self.dim)
         report = Report()
-        lhs = kron_apply(self.delta, ident, self.delta)
-        rhs = kron_apply(ident, self.delta, self.delta)
-        report.add(check_equal("coassociativity", lhs, rhs))
-        report.add(check_equal("counit_left",
-                               kron_apply(self.eps, ident, self.delta), ident))
-        report.add(check_equal("counit_right",
-                               kron_apply(ident, self.eps, self.delta), ident))
+        for name, (lhs, rhs) in zip(("coassociativity", "counit_left", "counit_right"),
+                                    _coalgebra_laws(self.delta, self.eps)):
+            report.add(check_equal(name, lhs, rhs))
         return report
 
     def to_json(self):
@@ -76,15 +79,18 @@ class AlgebraData:
         return self.m.field
 
     def checks(self) -> Report:
-        field = self.field
-        ident = Matrix.identity(field, self.dim)
+        """The coalgebra laws of (mᵀ, uᵀ), each side transposed back."""
+        dual = _transposed(self)
         report = Report()
-        lhs = self.m @ kron(self.m, ident)
-        rhs = self.m @ kron(ident, self.m)
-        report.add(check_equal("associativity", lhs, rhs))
-        report.add(check_equal("unit_left", self.m @ kron(self.u, ident), ident))
-        report.add(check_equal("unit_right", self.m @ kron(ident, self.u), ident))
+        for name, (lhs, rhs) in zip(("associativity", "unit_left", "unit_right"),
+                                    _coalgebra_laws(dual.delta, dual.eps)):
+            report.add(check_equal(name, lhs.transpose(), rhs.transpose()))
         return report
+
+
+def _transposed(A: AlgebraData) -> CoalgebraData:
+    """The coalgebra (mᵀ, uᵀ) of an algebra (m, u)."""
+    return CoalgebraData(A.dim, A.m.transpose(), A.u.transpose())
 
 
 class BialgebraData:
@@ -329,11 +335,10 @@ def grouplike_group(H: HopfData, gls) -> tuple:
 
 
 def check_character(chi: Matrix, B: BialgebraData) -> bool:
-    """χ∘m = χ⊗χ (as a bilinear form) and χ∘u = 1, exactly."""
+    """χ∘m = χ⊗χ and χ∘u = 1 exactly, i.e. χᵀ is grouplike for (mᵀ, uᵀ)."""
     if chi.rows != 1 or chi.cols != B.dim:
         raise ValueError("character must be a functional on the bialgebra")
-    return (chi @ B.m == kron(chi, chi)
-            and chi @ B.u == Matrix.identity(B.field, 1))
+    return is_grouplike(_transposed(B.algebra), chi.entries())
 
 
 def characters(B: BialgebraData):
@@ -351,8 +356,9 @@ def characters(B: BialgebraData):
     if not hasattr(field, "p") and not _is_diagonal_monomial(B.coalgebra):
         raise UnsupportedCoalgebraError(
             "over Q only grouplike-basis bialgebras are solved")
-    candidates = (Matrix.row(field, v) for v in _search_space(field, B.dim))
-    return [c for c in candidates if check_character(c, B)]
+    dual = _transposed(B.algebra)
+    return [Matrix.row(field, v) for v in _search_space(field, B.dim)
+            if is_grouplike(dual, v)]
 
 
 def convolution_group(chars, H: HopfData) -> tuple:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -569,6 +570,8 @@ MALFORMED = [
     ("z2_regular", _set(("field",), {"Fp": "x"}), "field:"),
     ("trivial", _set(("objects",), ["I", "I"]), "document:"),
     ("trivial", _symmetry_with_wrong_endpoints, "document:"),
+    ("z2_regular", _set(("generators", 0, "src"), ["star"]), "document:"),
+    ("z2_character", _set(("tensor", "unit"), ["one"]), "document:"),
 ]
 
 
@@ -578,7 +581,8 @@ MALFORMED = [
     "objects-number", "generators-number", "one-sided-relation",
     "relation-unknown-generator", "relation-endpoints", "tensor-no-unit",
     "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
-    "field-modulus-text", "duplicate-object", "symmetry-endpoints"])
+    "field-modulus-text", "duplicate-object", "symmetry-endpoints", "src-list",
+    "tensor-unit-list"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 def test_malformed_document_exits_with_one_line(command, fixture, mutate, prefix):
     doc = json.loads(load_fixture_text(fixture))
@@ -588,6 +592,17 @@ def test_malformed_document_exits_with_one_line(command, fixture, mutate, prefix
     error = json.loads(out)["error"]
     assert code == 2 and line == "%s: %s" % (error["source"], error["message"])
     assert line.startswith(prefix)
+
+
+def test_validate_takes_many_objects_at_once():
+    # object lookups go by hash; a scan of the object list is quadratic here
+    names = ["o%d" % i for i in range(20000)]
+    doc = dict(EMPTY_DOC, objects=names,
+               functor={"on_objects": dict.fromkeys(names, 1), "on_generators": {}})
+    start = time.perf_counter()
+    code, report = run_document("validate", doc)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and report["passed"]
 
 
 def test_missing_dimension_fails_every_command():

@@ -75,6 +75,26 @@ def test_incompatible_structures_fail_delta_m():
     assert got.residue == expected.residue
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_algebra_laws_match_the_dense_products(rng, field):
+    # a random m is not associative and a random u is no unit; the laws,
+    # checked as the coalgebra laws of (mᵀ, uᵀ), must report them exactly
+    # as the dense products m∘(m⊗id), m∘(id⊗m), m∘(u⊗id), m∘(id⊗u) do.
+    # Entries in {−1, 0, 1} make residues ±r tie, so the entry order counts.
+    n = 3
+    ident = Matrix.identity(field, n)
+    for _ in range(20):
+        m = rand_matrix(rng, field, n, n * n, lo=-1, hi=1)
+        u = rand_matrix(rng, field, n, 1, lo=-1, hi=1)
+        expected = [
+            check_equal("associativity", m @ kron(m, ident), m @ kron(ident, m)),
+            check_equal("unit_left", m @ kron(u, ident), ident),
+            check_equal("unit_right", m @ kron(ident, u), ident)]
+        got = AlgebraData(n, m, u).checks().checks
+        assert [c.to_json() for c in got] == [c.to_json() for c in expected]
+        assert not any(c.passed for c in got)
+
+
 def test_coalgebra_axiom_violation_detected():
     delta = Matrix.zeros(QQ, 4, 2)
     delta.data[0][0] = QQ.one()
