@@ -12,9 +12,7 @@ in an ambient space of dimension Σ_C dim F(C)·dim G(C), so the
 presentation builds them as sparse rows and hands them to
 ``SubspaceBasis``, which keeps its rank rows sparse; ``quotient`` reads
 them as they are, and only the projection and the maps out of the
-quotient are dense ``Matrix`` values.  ``relation_vectors`` returns the
-same relations as dense lists; nothing in the package calls it, and it
-stays as an independent input for the rank oracles of the tests.
+quotient are dense ``Matrix`` values.
 
 ``nat_space`` computes Nat(F, G) on the other side of the predual pairing
 as the solution space of the naturality equations, which it builds as
@@ -110,12 +108,6 @@ class CoendPresentation:
                 "(a dinaturality premise failed)" % name)
         return candidate
 
-    def kills_relations(self, ambient_map: Matrix) -> bool:
-        span = self.relation_span
-        rels = Matrix.from_rows(self.field, span.rows, span.ambient_dim)
-        return (ambient_map @ rels.transpose()
-                == Matrix.zeros(self.field, ambient_map.rows, span.dim))
-
     def to_json(self):
         """Stable serialization (quotient dim, relation rank, λ matrices)."""
         return {
@@ -161,14 +153,6 @@ def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor, off
                     row[pos] = field.sub(row.get(pos, zero), coeff)
                 rows.append(row)
     return rows
-
-
-def relation_vectors(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
-    """The rows of ``_relation_rows`` as dense lists of length ``ambient``."""
-    offs, ambient = _block_offsets(cat, F, G)
-    zero = F.field.zero()
-    return ambient, [[row.get(c, zero) for c in range(ambient)]
-                     for row in _relation_rows(cat, F, G, offs)]
 
 
 def natvee(cat: PresentedCategory, F: FiberFunctor,

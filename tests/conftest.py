@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -13,7 +14,7 @@ from tannakit.cli import load_fixture_text, main
 
 
 FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
-            "z2_function", "z2_function_f2"]
+            "z2_function", "z2_function_f2", "z2_graded"]
 
 DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
                      "characters")
@@ -188,6 +189,45 @@ def dense_comodule_maps(com1, com2):
             for vec in kernel]
 
 
+def relation_vectors(cat, F, G):
+    """``(ambient, vectors)``: the coend relations of every generator
+    f: C → C' and basis pair (i, j), as dense lists of length ``ambient``.
+
+    Each is e_i ⊗ (row j of G(f)) in the block at C minus (column i of
+    F(f)) ⊗ e_j in the block at C', written from the definition: the
+    reference that ``CoendPresentation``'s relation span is checked
+    against.
+    """
+    field = F.field
+    offs, ambient = {}, 0
+    for obj in cat.objects:
+        offs[obj] = ambient
+        ambient += F.dim(obj) * G.dim(obj)
+    vectors = []
+    for g in cat.generators:
+        fm, gm = F.gen_matrix(g.name), G.gen_matrix(g.name)
+        gd_src, gd_dst = G.dim(g.src), G.dim(g.dst)
+        for i in range(F.dim(g.src)):
+            for j in range(gd_dst):
+                vec = [field.zero()] * ambient
+                for k in range(gd_src):
+                    pos = offs[g.src] + i * gd_src + k
+                    vec[pos] = field.add(vec[pos], gm.data[j][k])
+                for l in range(F.dim(g.dst)):
+                    pos = offs[g.dst] + l * gd_dst + j
+                    vec[pos] = field.sub(vec[pos], fm.data[l][i])
+                vectors.append(vec)
+    return ambient, vectors
+
+
+def kills_relations(P, ambient_map):
+    """Whether a map on the ambient sum of ``P`` vanishes on its relation span."""
+    span = P.relation_span
+    rels = Matrix.from_rows(P.field, span.rows, span.ambient_dim)
+    return (ambient_map @ rels.transpose()
+            == Matrix.zeros(P.field, ambient_map.rows, span.dim))
+
+
 def scalar_text(x, p=None):
     """A rational as a document scalar over Q, or (``p``) reduced mod p."""
     if p is None:
@@ -279,6 +319,111 @@ def schur_weyl_document(k, p=None, r=SWAP):
         "functor": {"on_objects": {"V%d" % j: 2 ** j for j in range(k + 1)},
                     "on_generators": matrices},
     }
+
+
+def group_graded_document(perms, p=None):
+    """Vec_G over Q or (``p``) F_p for a group G of permutations.
+
+    One object of dimension 1 per permutation, ``g<i>`` for ``perms[i]``,
+    with g⊗h = g∘h; every s and f_unit is 1, there are no generators,
+    and the dual of g is g⁻¹ with unit and counit the empty path at the
+    identity.  End^∨ is the group algebra K[G], so its grouplike table
+    is the Cayley table of G in object order.
+    """
+    perms = [tuple(g) for g in perms]
+    name = {g: "g%d" % i for i, g in enumerate(perms)}
+    unit = name[tuple(range(len(perms[0])))]
+    one = [["1"]]
+    compose = {(g, h): tuple(g[i] for i in h) for g in perms for h in perms}
+    inverse = {g: next(h for h in perms if name[compose[(g, h)]] == unit)
+               for g in perms}
+    return {
+        "field": "Q" if p is None else {"Fp": p},
+        "objects": [name[g] for g in perms],
+        "generators": [],
+        "relations": [],
+        "functor": {"on_objects": {name[g]: 1 for g in perms},
+                    "on_generators": {}},
+        "tensor": {
+            "unit": unit,
+            "on_objects": [[name[g], name[h], name[gh]]
+                           for (g, h), gh in compose.items()],
+            "s": {"%s,%s" % (name[g], name[h]): one for g, h in compose},
+            "f_unit": one,
+        },
+        "duality": {"dual_of": {name[g]: name[inverse[g]] for g in perms},
+                    "eta": {name[g]: {"at": unit} for g in perms},
+                    "eps": {name[g]: {"at": unit} for g in perms}},
+    }
+
+
+def random_z2_graded_document(rng, p=None):
+    """A random document on objects I and x with x⊗x = I, both of
+    dimension 1, over Q or (``p``) F_p.
+
+    It has two or three generators, each an endomorphism of I or of x
+    with a scalar in {−1, 1, 2}.  Every tensor action path is a path of
+    up to two generators at the right object, most often one with the
+    value that s-naturality asks for, and now and then a generator at
+    the wrong object.  s is a at every pair with I and b at (x, x), with
+    f_unit = 1/a most of the time, so the unit diagrams usually hold.
+    Seven documents in ten carry a duality section whose unit and
+    counit paths are random paths at I.
+    """
+    def value(path):
+        return scalar_text(prod((scalars[g] for g in path), start=Fraction(1)), p)
+
+    def random_path(at, want):
+        candidates = ([[]] + [[g] for g in on[at]]
+                      + [[g, h] for g in on[at] for h in on[at]])
+        good = [c for c in candidates if value(c) == want]
+        if rng.random() < 0.01:
+            other = on["x" if at == "I" else "I"]
+            if other:
+                return [rng.choice(other)]
+        path = rng.choice(good if good and rng.random() < 0.95 else candidates)
+        return path or {"at": at}
+
+    tensor_table = {("I", "I"): "I", ("I", "x"): "x", ("x", "I"): "x", ("x", "x"): "I"}
+    scalars, on = {}, {"I": [], "x": []}
+    for i in range(rng.randint(2, 3)):
+        obj = rng.choice(["I", "x"])
+        scalars["g%d" % i] = Fraction(rng.choice([-1, 1, 2]))
+        on[obj].append("g%d" % i)
+    generators = [{"name": g, "src": obj, "dst": obj} for obj in ("I", "x")
+                  for g in on[obj]]
+    a, b = (Fraction(rng.choice([-1, 1, 2])) for _ in range(2))
+    f_unit = 1 / a if rng.random() < 0.85 else Fraction(rng.choice([-1, 1, 2]))
+    actions = []
+    for gen in generators:
+        want = value([gen["name"]])
+        for obj in ("I", "x"):
+            at = tensor_table[(gen["src"], obj)]
+            actions.append({"gen": gen["name"], "object": obj,
+                            "gen_tensor_id": random_path(at, want),
+                            "id_tensor_gen": random_path(at, want)})
+    doc = {
+        "field": "Q" if p is None else {"Fp": p},
+        "objects": ["I", "x"],
+        "generators": generators,
+        "relations": [],
+        "functor": {"on_objects": {"I": 1, "x": 1},
+                    "on_generators": {g: [[scalar_text(x, p)]]
+                                      for g, x in scalars.items()}},
+        "tensor": {
+            "unit": "I",
+            "on_objects": [[c, d, cd] for (c, d), cd in tensor_table.items()],
+            "s": {"%s,%s" % pair: [[scalar_text(b if pair == ("x", "x") else a, p)]]
+                  for pair in tensor_table},
+            "f_unit": [[scalar_text(f_unit, p)]],
+            "on_generators": actions,
+        },
+    }
+    if rng.random() < 0.7:
+        doc["duality"] = {"dual_of": {"I": "I", "x": "x"},
+                          "eta": {c: random_path("I", "1") for c in ("I", "x")},
+                          "eps": {c: random_path("I", "1") for c in ("I", "x")}}
+    return doc
 
 
 def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -83,6 +84,8 @@ def test_negative_object_dimension_fails_validation(tmp_path):
     ('"x"', "input must be a JSON object"),
     ("[]", "input must be a JSON object"),
     ("{}", 'input has no "functor" object'),
+    ("{", "input is not valid JSON: line 1 column 2: "
+          "Expecting property name enclosed in double quotes"),
 ])
 def test_document_without_functor_object_exits_with_one_line(text, message):
     for command in ("validate", "reconstruct"):
@@ -202,10 +205,37 @@ def test_coherence_word_dimension_capped():
 
 
 @pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
-                                  "(id[a] ; id[b])", "id[a,,b]", "swap[,;0]"])
+                                  "(id[a] ; id[b])", "id[a,,b]", "swap[,;0]",
+                                  "swap[a,b;5]"])
 def test_coherence_bad_expression_exits_with_one_line(expr):
     message = rejected("coherence", expr, "id[a,b]")
     assert message.startswith("coherence:")
+
+
+@pytest.mark.parametrize("argv, failing, residue", [
+    (["coherence", "id[a,b]", "id[b,a]"], "boundary_words_match", "mismatch"),
+    (["characters", "--fixture", "z2_character", "--field", "Fp:367"],
+     "character_search", "enumeration space 134689 exceeds the bound"),
+], ids=["coherence-boundary", "characters-bound"])
+def test_refused_computation_is_one_failing_check(argv, failing, residue):
+    code, out, _ = run_cli(argv + ["--json"])
+    failures = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert code == 1
+    assert failures == [{"name": failing, "passed": False, "residue": residue}]
+
+
+def test_readme_commands_exit_zero():
+    # every tannakit line of the sh block in the README's "Command line"
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("tannakit ")]
+    assert len(commands) == 7
+    for line in commands:
+        code, _, err = run_cli(shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line
 
 
 def test_empty_atom_is_blamed_on_the_expression_not_on_dims():
@@ -534,6 +564,14 @@ def _relation_with_different_endpoints(doc):
                         "on_generators": {"g": [["1"]]}})
 
 
+def test_bare_empty_relation_side_is_the_identity_at_the_other_side():
+    doc = json.loads(load_fixture_text("z2_regular"))
+    assert doc["relations"] == [[["g", "g"], {"at": "star"}]]
+    doc["relations"][0][1] = []
+    assert (run_cli(["nat", "--json"], json.dumps(doc))
+            == run_cli(["nat", "--fixture", "z2_regular", "--json"]))
+
+
 def _symmetry_with_wrong_endpoints(doc):
     # z of dimension 0 absorbs every object; ψ_{I,z} must run from I⊗z = z
     # to z⊗I = z, and the empty path at I does not
@@ -572,6 +610,12 @@ MALFORMED = [
     ("trivial", _symmetry_with_wrong_endpoints, "document:"),
     ("z2_regular", _set(("generators", 0, "src"), ["star"]), "document:"),
     ("z2_character", _set(("tensor", "unit"), ["one"]), "document:"),
+    ("z2_regular", _set(("relations", 0), [[], []]),
+     "document: relation with two bare empty paths is ambiguous"),
+    ("z2_character", _set(("duality", "eta", "one"), {"at": "sigma"}),
+     "document: eta path for 'one' has wrong endpoints"),
+    ("z2_character", _set(("duality", "eps", "sigma"), {"at": "sigma"}),
+     "document: eps path for 'sigma' has wrong endpoints"),
 ]
 
 
@@ -582,7 +626,8 @@ MALFORMED = [
     "relation-unknown-generator", "relation-endpoints", "tensor-no-unit",
     "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
     "field-modulus-text", "duplicate-object", "symmetry-endpoints", "src-list",
-    "tensor-unit-list"])
+    "tensor-unit-list", "relation-two-empty-sides", "eta-endpoints",
+    "eps-endpoints"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 def test_malformed_document_exits_with_one_line(command, fixture, mutate, prefix):
     doc = json.loads(load_fixture_text(fixture))

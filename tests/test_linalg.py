@@ -7,7 +7,7 @@ import pytest
 
 import tannakit
 from tannakit import GF, Matrix, QQ, kron, load_document, rank, rref
-from tannakit.coend import cocomposition, natvee, relation_vectors
+from tannakit.coend import cocomposition, natvee
 from tannakit.linalg import (SubspaceBasis, curry, inverse, kernel_basis,
                              kron_apply, kron_perm, middle_swap, perm_matrix,
                              quotient, solve_matrix, swap_perm, uncurry)
@@ -16,7 +16,7 @@ from tannakit.report import check_equal
 from conftest import (column_solve_matrix, cyclic_document, dense_kernel,
                       dense_kron, dense_product, dense_rref, dense_swap,
                       rand_invertible, rand_matrix, rand_sparse_matrix,
-                      rand_unit_matrix)
+                      rand_unit_matrix, relation_vectors)
 
 
 def minor_rank(m):

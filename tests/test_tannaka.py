@@ -1,6 +1,8 @@
 import io
+import json
 import os
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,8 +22,8 @@ from tannakit.linalg import SubspaceBasis, uncurry
 from tannakit.tannaka import rep_of_comodule
 
 from conftest import (FIXTURES, bare_object, cyclic_document,
-                      dense_comodule_maps, load_fixture, rand_matrix,
-                      rand_sparse_matrix)
+                      dense_comodule_maps, group_graded_document, load_fixture,
+                      rand_matrix, rand_sparse_matrix, run_cli)
 
 
 def endvee(name):
@@ -434,3 +436,20 @@ def test_rho_tilde_failure_carries_comodule_report():
         rho_tilde(B, doc.category, doc.functor, bad)
     assert [(c.name, c.passed) for c in err.value.report.checks] == [
         ("coaction_coassoc:B", True), ("coaction_counit:B", False)]
+
+
+def test_grouplike_table_of_vec_s3_is_its_cayley_table():
+    # End^∨ of Vec_S3 is the group algebra Q[S_3], which is not
+    # commutative, so the table tells m from its opposite: entry (i, j) is
+    # the index of g_i∘g_j, and the grouplikes are the objects in order
+    perms = list(permutations(range(3)))
+    code, out, _ = run_cli(["reconstruct", "--json"],
+                           json.dumps(group_graded_document(perms)))
+    assert code == 0
+    payload = json.loads(out)
+    index = {g: i for i, g in enumerate(perms)}
+    assert payload["grouplikes"] == [[str(int(i == j)) for j in range(6)]
+                                     for i in range(6)]
+    assert payload["grouplike_table"] == [[index[tuple(g[k] for k in h)]
+                                           for h in perms] for g in perms]
+    assert len(payload["characters"]) == 2
