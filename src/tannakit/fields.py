@@ -9,6 +9,12 @@ A canonical scalar of either field is falsy exactly when it is zero and
 equals the int 1 exactly when it is one, so ``not x`` and ``x == 1``
 decide zero and one exactly, without comparing two ``Fraction`` values.
 The matrix kernels of ``linalg`` rely on this rule.
+
+``QQ.zero()`` and ``QQ.one()`` return two shared module constants, not a
+new ``Fraction`` per call.  So every structural zero and one of a Q
+matrix (``Matrix.zeros``, ``identity``, ``from_rows``, ``perm_matrix``)
+is the same object, and the list comparison of ``Matrix.__eq__`` passes
+two such entries on identity, without calling ``Fraction.__eq__``.
 """
 
 from fractions import Fraction
@@ -108,16 +114,20 @@ class Field:
         raise FieldError("field is not finite")
 
 
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class RationalField(Field):
     """The rationals; Fraction keeps p/q in lowest terms with q > 0."""
 
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def from_int(self, n):
         return Fraction(n)

@@ -145,6 +145,8 @@ class Matrix:
     # -- equality / repr ------------------------------------------------
 
     def __eq__(self, other):
+        # the list comparison passes identical entries without ``==``, so
+        # the shared structural zeros and ones of ``fields`` cost no call
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows

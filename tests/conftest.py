@@ -14,7 +14,7 @@ from tannakit.cli import load_fixture_text, main
 
 
 FIXTURES = ["trivial", "z2_character", "z2_regular", "comatrix2",
-            "z2_function", "z2_function_f2", "z2_graded"]
+            "z2_function", "z2_function_f2", "z2_graded", "s3_graded"]
 
 DOCUMENT_COMMANDS = ("validate", "reconstruct", "lift", "rho-tilde", "nat",
                      "characters")

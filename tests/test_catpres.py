@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -11,8 +13,8 @@ from tannakit.linalg import inverse
 from tannakit.moncat import DualPairing
 from tannakit.report import check_equal
 
-from conftest import (dense_swap, load_fixture, rand_matrix,
-                      random_z2_graded_document)
+from conftest import (dense_swap, group_graded_document, load_fixture,
+                      rand_matrix, random_z2_graded_document, scalar_text)
 
 
 def z2_category():
@@ -464,3 +466,50 @@ def test_one_sided_s_naturality_implies_the_square_on_two_generators(p):
                        @ T.s_map(g.src, h.src))
                 assert lhs == rhs
     assert kept >= 30
+
+
+@pytest.mark.parametrize("p", [None, 5, 7])
+def test_unit_diagrams_imply_the_associativity_squares_with_the_unit(p):
+    # once f is invertible, F(I) has dimension 1 and the unit diagrams
+    # make s_{C,I} = id⊗f⁻¹ and s_{I,C} = f⁻¹⊗id, so both sides of a
+    # square with I in its triple are id⊗f⁻¹⊗id, f⁻¹⊗s_{B,C} or
+    # s_{A,B}⊗f⁻¹; validation checks only the squares without I.  A strict
+    # table with invertible s forces every object to dimension 0 or 1, so
+    # Vec_S3 with random s covers what a document can express
+    rng = random.Random(22 + (p or 0))
+
+    def scalar():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    perms = list(permutations(range(3)))
+    kept = failing = 0
+    for _ in range(60):
+        raw = group_graded_document(perms, p)
+        tensor = raw["tensor"]
+        f = scalar()
+        tensor["f_unit"] = [[scalar_text(f, p)]]
+        honest = rng.random() < 0.8
+        for pair in tensor["s"]:
+            at_unit = tensor["unit"] in pair.split(",")
+            value = 1 / f if at_unit and honest else scalar()
+            tensor["s"][pair] = [[scalar_text(value, p)]]
+        doc = load_document(raw)
+        F, T = doc.functor, doc.tensor
+        report = validate_tensor_data(doc.category, F, T)
+        premise = [c for c in report.checks if c.name == "f_unit_invertible"
+                   or c.name.startswith("unit_diagram_")]
+        if len(premise) != 1 + 2 * len(doc.category.objects) or not all(
+                c.passed for c in premise):
+            continue
+        kept += 1
+        failing += any(not c.passed for c in report.checks
+                       if c.name.startswith("assoc_diagram"))
+        for a, b, c in product(doc.category.objects, repeat=3):
+            if T.unit not in (a, b, c):
+                continue
+            ida = Matrix.identity(F.field, F.dim(a))
+            idc = Matrix.identity(F.field, F.dim(c))
+            lhs = T.s_map(T.obj(a, b), c) @ kron(T.s_map(a, b), idc)
+            rhs = T.s_map(a, T.obj(b, c)) @ kron(ida, T.s_map(b, c))
+            assert lhs == rhs
+    assert kept >= 30 and failing > 0

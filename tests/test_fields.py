@@ -16,6 +16,12 @@ def test_rational_normalization():
     assert QQ.format(Fraction(-5, 10)) == "-1/2"
 
 
+def test_rational_zero_and_one_are_shared_constants():
+    # so equal structural entries of two Q matrices compare by identity
+    assert QQ.zero() is QQ.zero()
+    assert QQ.one() is QQ.one()
+
+
 def test_rational_division_by_zero():
     with pytest.raises(FieldError):
         QQ.inv(Fraction(0))

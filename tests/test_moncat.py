@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tannakit import (Matrix, QQ, check_triangles, coherence_equal, dual_map,
@@ -118,6 +120,24 @@ def test_eval_matches_dense_reference(rng):
         dims = {atom: rng.choice([2, 3]) for atom in sorted(set(e1.domain) | {"a", "b"})}
         assert eval_in_vec(e1, dims) == dense_eval(e1, dims)
         assert eval_in_vec(e2, dims) == dense_eval(e2, dims)
+
+
+def test_equal_evaluations_compare_without_fraction_eq(monkeypatch):
+    # every structural zero and one of a Q matrix is a shared constant, so
+    # comparing two equal 729×729 permutation matrices passes each entry on
+    # identity, where a fresh Fraction(0) per matrix would cost 729² calls
+    word = ("a",) * 6
+    twice = Compose(AdjacentSwap(word, 2), AdjacentSwap(word, 2))
+    calls = []
+    fraction_eq = Fraction.__eq__
+
+    def counted(x, y):
+        calls.append(1)
+        return fraction_eq(x, y)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    assert eval_in_vec(twice, {"a": 3}) == eval_in_vec(Identity(word), {"a": 3})
+    assert len(calls) == 0
 
 
 def test_eval_rejects_bad_dimensions():
