@@ -19,10 +19,14 @@ quotient through λ_I and needs no descent.
 
 A family of coactions is stated a comodule family once, by
 ``comodule_report``: ``lift_functor`` returns it and ``rho_tilde``
-requires it.  Comodule maps are natural transformations, since block b
-of ρ₂∘f = (id⊗f)∘ρ₁ is ρ₂_b∘f = f∘ρ₁_b, so ``comodule_morphism_space``
-is ``coend.nat_space`` on one object with one generator per basis
-vector of the coalgebra.
+requires it.  For the universal coactions η_C = curry(λ_C) that report
+also verifies End^∨ itself: their coaction laws say that Δ and ε agree
+with the cocomposition formula and the evaluation on every block λ_C,
+and the blocks span the quotient, so ``lift_functor`` builds Δ and ε
+without checking the coalgebra laws a second time.  Comodule maps are
+natural transformations, since block b of ρ₂∘f = (id⊗f)∘ρ₁ is
+ρ₂_b∘f = f∘ρ₁_b, so ``comodule_morphism_space`` is ``coend.nat_space``
+on one object with one generator per basis vector of the coalgebra.
 """
 
 from .catpres import (FiberFunctor, Generator, PresentedCategory,
@@ -119,8 +123,16 @@ def lift_functor(cat, F, P: CoendPresentation):
     Returns (coactions, report): one ComoduleData per object, and the
     ``comodule_report`` of the family.  Violations never happen for a
     valid presentation; a failing entry localizes an engine bug.
+
+    End^∨'s own coalgebra laws are not checked here, because the report
+    implies them (Joyal & Street: End^∨ is the universal coalgebra over
+    which every F(C) is a comodule).  ``coaction_coassoc:C`` says that
+    Δ∘λ_C is the cocomposition formula on block C, and ``coaction_counit:C``
+    that ε∘λ_C is the evaluation; the λ_C images span the quotient, so
+    once every object passes, (Δ⊗id)Δ = (id⊗Δ)Δ and both counit laws
+    hold.  A wrong Δ or ε therefore fails the report instead of raising.
     """
-    coalg = endvee_coalgebra(P)
+    coalg = CoalgebraData(P.quotient_dim, cocomposition(P, P, P), counit(P))
     coactions = {obj: ComoduleData(P.quotient_dim, fd, coevaluation(P, obj))
                  for obj, fd, _ in P.object_index}
     return coactions, comodule_report(cat, F, coactions, coalg)

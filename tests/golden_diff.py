@@ -8,8 +8,9 @@ are new or gone, and for each changed entry the checks it lost; it fails
 unless every changed entry keeps its exit code and every key but
 ``checks``, and its ``checks`` are the old list minus passing
 ``assoc_diagram:a,b,c`` entries with the fixture's tensor unit among a,
-b and c.  For the other files it prints whether they are byte-identical
-and, for ``bench_digests.json``, the jobs whose digest or exit changed.
+b and c.  For the other files it prints whether they are new or
+byte-identical and, for ``bench_digests.json``, the jobs whose digest or
+exit changed.
 Exits 1 on a change that is not such a deletion.
 """
 
@@ -24,9 +25,10 @@ FIXTURES = os.path.join(ROOT, "src", "tannakit", "fixtures")
 
 
 def old_text(rev, name):
-    return subprocess.run(["git", "show", "%s:%s/%s" % (rev, GOLDEN, name)],
-                          cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout
+    """The file at ``rev``, or None if it did not exist there."""
+    shown = subprocess.run(["git", "show", "%s:%s/%s" % (rev, GOLDEN, name)],
+                           cwd=ROOT, capture_output=True, text=True)
+    return shown.stdout if shown.returncode == 0 else None
 
 
 def new_text(name):
@@ -100,12 +102,16 @@ def main(rev):
     for name in sorted(os.listdir(os.path.join(ROOT, GOLDEN))):
         if name == "cli_outputs.json":
             continue
-        if old_text(rev, name) == new_text(name):
+        before = old_text(rev, name)
+        if before is None:
+            print("%s: new file" % name)
+            continue
+        if before == new_text(name):
             print("%s: byte-identical" % name)
             continue
         print("%s: changed" % name)
         if name == "bench_digests.json":
-            before, after = json.loads(old_text(rev, name)), json.loads(new_text(name))
+            before, after = json.loads(before), json.loads(new_text(name))
             for key in sorted(set(before) | set(after)):
                 if before.get(key) != after.get(key):
                     print("  %s" % key)

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+import tannakit
 from tannakit import Matrix
-from tannakit import cli
+from tannakit import cli, coend, hopf
 from tannakit.cli import load_fixture_text, main
 from tannakit.fields import GF, QQ
 from tannakit.report import Check, check_equal
@@ -374,6 +375,40 @@ def largest_allocation(monkeypatch, path, commands):
             code, out, _ = run_cli([command, "--input", str(path), "--json"])
             assert code == 0, out
     return largest[0]
+
+
+def call_counts(monkeypatch, path, command, targets):
+    """Calls per ``(owner, name)`` in ``targets`` while ``command`` runs on
+    the document at ``path``; it must exit 0.  A function is counted under
+    every tannakit module that binds it, a method on its class."""
+    counts = {name: 0 for _, name in targets}
+    with monkeypatch.context() as patch:
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            if isinstance(owner, type):
+                patch.setattr(owner, name, counted)
+                continue
+            for module in [tannakit, *vars(tannakit).values()]:
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, counted)
+        code, out, _ = run_cli([command, "--input", str(path), "--json"])
+    assert code == 0, out
+    return counts
+
+
+def test_lift_checks_no_coalgebra_laws(tmp_path, monkeypatch):
+    # lift's comodule report already verifies the Δ and ε it builds, so
+    # it builds Δ once and runs no CoalgebraData.checks
+    path = tmp_path / "cyclic5.json"
+    path.write_text(json.dumps(cyclic_document(5)))
+    counts = call_counts(monkeypatch, path, "lift",
+                         [(hopf.CoalgebraData, "checks"), (coend, "cocomposition")])
+    assert counts == {"checks": 0, "cocomposition": 1}
 
 
 def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch):

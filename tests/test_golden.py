@@ -15,8 +15,9 @@ import pytest
 
 from tannakit import natvee
 
-from conftest import (DOCUMENT_COMMANDS, FIXTURES, cyclic_document, load_fixture,
-                      run_cli)
+from conftest import (DOCUMENT_COMMANDS, FIXTURES, FRT_R, SUPER_SWAP, SWAP,
+                      cyclic_document, load_fixture, run_cli,
+                      schur_weyl_document)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
@@ -28,6 +29,9 @@ CYCLIC_N = 6
 CYCLIC_PERM = [3, 0, 5, 1, 4, 2]
 CYCLIC_DIAG = [2, -3, 1, 3, -1, -2]
 CYCLIC_FIELDS = {"Q": None, "F101": 101}
+# Schur–Weyl at k = 2: End^∨ is not cocommutative and its quotient
+# dimension (13 or 15) is far above every F(V_j) (at most 4)
+SCHUR_WEYL_FAMILIES = {"swap": SWAP, "frt": FRT_R, "super": SUPER_SWAP}
 
 
 def cli_outputs():
@@ -52,6 +56,21 @@ def cyclic_outputs():
     return outputs
 
 
+def schur_weyl_outputs():
+    """Exit code and exact ``--json`` stdout of ``lift`` and ``reconstruct``
+    per (command, family, field) on ``schur_weyl_document(2, p, r)``, with
+    the document on stdin."""
+    outputs = {}
+    for family, r in SCHUR_WEYL_FAMILIES.items():
+        for label, p in CYCLIC_FIELDS.items():
+            doc = json.dumps(schur_weyl_document(2, p, r))
+            for cmd in ("lift", "reconstruct"):
+                code, out, _ = run_cli([cmd, "--json"], doc)
+                outputs["%s %s %s" % (cmd, family, label)] = {
+                    "exit": code, "stdout": out}
+    return outputs
+
+
 def bench_digests():
     """Exit code and sha256 of stdout per (seed, job) over one round of each
     benchmark workload at seeds 1 and 2, with the job's document on stdin
@@ -73,6 +92,7 @@ def bench_digests():
 
 GOLDEN = {"cli_outputs.json": cli_outputs,
           "cyclic_outputs.json": cyclic_outputs,
+          "schur_weyl_outputs.json": schur_weyl_outputs,
           "bench_digests.json": bench_digests}
 
 

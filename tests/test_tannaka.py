@@ -18,12 +18,13 @@ from tannakit.catpres import PresentationError
 from tannakit.cli import load_fixture_text
 from tannakit.coend import pairing_to_nat
 from tannakit.hopf import convolve_functionals, enumerate_linear_maps
-from tannakit.linalg import SubspaceBasis, uncurry
+from tannakit.linalg import SubspaceBasis, swap_perm, uncurry
 from tannakit.tannaka import rep_of_comodule
 
-from conftest import (FIXTURES, bare_object, cyclic_document,
-                      dense_comodule_maps, group_graded_document, load_fixture,
-                      rand_matrix, rand_sparse_matrix, run_cli)
+from conftest import (FIXTURES, FRT_R, SUPER_SWAP, SWAP, bare_object,
+                      cyclic_document, dense_comodule_maps,
+                      group_graded_document, load_fixture, rand_matrix,
+                      rand_sparse_matrix, run_cli, schur_weyl_document)
 
 
 def endvee(name):
@@ -57,9 +58,9 @@ def test_readme_library_sketch_runs_on_a_shipped_fixture(monkeypatch):
     assert names["P"].quotient_dim == 2
     assert names["hopf"].dim == 2
     assert names["report"].passed
-    # the sketch's own coalgebra and the one lift_functor builds; no
-    # builder rebuilds what it was handed
-    assert calls == {"endvee_coalgebra": 2, "endvee_bialgebra": 1}
+    # only the sketch's own coalgebra: lift_functor's report verifies the
+    # Δ and ε it builds, and no builder rebuilds what it was handed
+    assert calls == {"endvee_coalgebra": 1, "endvee_bialgebra": 1}
 
 
 def test_endvee_coalgebra_fixtures():
@@ -154,6 +155,69 @@ def test_lift_character_category():
     # coordinate of End^∨
     assert coactions["sigma"].rho == Matrix.from_ints(QQ, [[0], [1]])
     assert coactions["one"].rho == Matrix.from_ints(QQ, [[1], [0]])
+
+
+# Documents whose lift must verify End^∨: every fixture, cyclic Z/2–Z/6,
+# Schur–Weyl at k = 2 (not cocommutative) and Vec_S3 (not commutative)
+LIFT_DOCUMENTS = (
+    {name: json.loads(load_fixture_text(name)) for name in FIXTURES}
+    | {"cyclic%d-%s" % (n, label): cyclic_document(n, p)
+       for n in range(2, 7) for label, p in (("Q", None), ("F7", 7))}
+    | {"schur-weyl-%s-%s" % (family, label): schur_weyl_document(2, p, r)
+       for family, r in (("swap", SWAP), ("frt", FRT_R), ("super", SUPER_SWAP))
+       for label, p in (("Q", None), ("F101", 101))}
+    | {"vec-s3": group_graded_document(list(permutations(range(3))))})
+
+
+@pytest.mark.parametrize("name", LIFT_DOCUMENTS)
+def test_passing_lift_report_implies_the_coalgebra_laws(name):
+    # the universal coaction laws say that Δ and ε agree with the
+    # cocomposition formula and the evaluation on every block λ_C, which
+    # is why lift_functor does not check End^∨'s coalgebra laws itself
+    doc = load_document(LIFT_DOCUMENTS[name])
+    P = natvee(doc.category, doc.functor, doc.functor)
+    _, report = lift_functor(doc.category, doc.functor, P)
+    assert report.passed
+    assert endvee_coalgebra(P).checks().passed
+
+
+def doubled(m):
+    two = m.field.from_int(2)
+    return Matrix(m.field, [[m.field.mul(two, x) for x in row] for row in m.data],
+                  cols=m.cols)
+
+
+def opposite(delta):
+    q = delta.cols
+    return delta.select_rows(swap_perm(q, q))
+
+
+def perturbed(eps):
+    field = eps.field
+    row = list(eps.data[0])
+    row[0] = field.add(row[0], field.one())
+    return Matrix(field, [row], cols=eps.cols)
+
+
+# Δ^op is no mutant on cyclic Z/4, whose End^∨ (functions on Z/4) is
+# cocommutative
+@pytest.mark.parametrize("name, builder, mutate, failing", [
+    ("cyclic4-Q", "cocomposition", doubled, {"coaction_coassoc"}),
+    ("schur-weyl-swap-Q", "cocomposition", doubled, {"coaction_coassoc"}),
+    ("schur-weyl-swap-Q", "cocomposition", opposite, {"coaction_coassoc"}),
+    ("cyclic4-Q", "cocomposition", opposite, set()),
+    ("cyclic4-Q", "counit", perturbed, {"coaction_counit"}),
+    ("schur-weyl-swap-Q", "counit", perturbed, {"coaction_counit"}),
+], ids=["2delta-cyclic4", "2delta-schur-weyl", "delta-op-schur-weyl",
+        "delta-op-cyclic4", "eps-cyclic4", "eps-schur-weyl"])
+def test_broken_endvee_fails_the_lift_report(monkeypatch, name, builder, mutate,
+                                             failing):
+    build = getattr(tannaka, builder)
+    monkeypatch.setattr(tannaka, builder, lambda *args: mutate(build(*args)))
+    code, out, err = run_cli(["lift", "--json"], json.dumps(LIFT_DOCUMENTS[name]))
+    assert (code, err) == (1 if failing else 0, "")
+    assert {c["name"].split(":")[0] for c in json.loads(out)["checks"]
+            if not c["passed"]} == failing
 
 
 def comodules_from(doc, B):
