@@ -235,14 +235,16 @@ def scalar_text(x, p=None):
     return str(x.numerator * pow(x.denominator, p - 2, p) % p)
 
 
-def cyclic_document(n, p=None, perm=None, diag=None):
+def cyclic_document(n, p=None, perm=None, diag=None, trivial=False):
     """Z/n acting on K^n by g = M C M^{-1}, over Q or (``p``) F_p.
 
     C is the shift e_i ↦ e_{i+1 mod n} and M e_i = diag[i]·e_{perm[i]}
     (the identity by default), so g is monomial with entries
     diag[i+1]/diag[i].  The document also carries B = functions on Z/n
     (Δδ_k = Σ_{a+b=k} δ_a⊗δ_b, ε = δ_0) and the coaction
-    ρ(v) = Σ_h δ_h ⊗ g^h v on F(star).
+    ρ(v) = Σ_h δ_h ⊗ g^h v on F(star), or with ``trivial`` the coaction
+    ρ(v) = 1_B ⊗ v, whose every block is the identity: then ρ̃ has
+    rank 1 and is not injective for n > 1.
     """
     perm = list(range(n)) if perm is None else perm
     diag = [1] * n if diag is None else diag
@@ -255,8 +257,9 @@ def cyclic_document(n, p=None, perm=None, diag=None):
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(n):
         rho.extend([[scalar_text(x, p) for x in row] for row in power])
-        power = [[sum(g[i][t] * power[t][j] for t in range(n))
-                  for j in range(n)] for i in range(n)]
+        if not trivial:
+            power = [[sum(g[i][t] * power[t][j] for t in range(n))
+                      for j in range(n)] for i in range(n)]
     delta = [[str(int((a + b) % n == k)) for k in range(n)]
              for a in range(n) for b in range(n)]
     return {

@@ -3,15 +3,16 @@
     python tests/golden_diff.py REV
 
 compares each file under ``tests/golden/`` at git revision ``REV`` with
-the working tree.  For ``cli_outputs.json`` it prints the entries that
-are new or gone, and for each changed entry the checks it lost; it fails
-unless every changed entry keeps its exit code and every key but
-``checks``, and its ``checks`` are the old list minus passing
-``assoc_diagram:a,b,c`` entries with the fixture's tensor unit among a,
-b and c.  For the other files it prints whether they are new or
-byte-identical and, for ``bench_digests.json``, the jobs whose digest or
-exit changed.
-Exits 1 on a change that is not such a deletion.
+the working tree.  It prints whether each file is new, byte-identical or
+changed, and for a changed file the top-level entries that are new, gone
+or changed.  A gone entry fails.  In ``cli_outputs.json`` a changed
+entry fails unless it keeps its exit code and every key but ``checks``,
+and its ``checks`` are the old list minus passing ``assoc_diagram:a,b,c``
+entries with the fixture's tensor unit among a, b and c; the checks it
+lost are printed.  The other files, whose entries are digests or whole
+structures, only list their changed entries.
+Exits 1 on a gone entry or a ``cli_outputs.json`` change that is not
+such a deletion.
 """
 
 import json
@@ -82,26 +83,7 @@ def deleted_unit_squares(key, old, new):
 
 def main(rev):
     ok = True
-    old = json.loads(old_text(rev, "cli_outputs.json"))
-    new = json.loads(new_text("cli_outputs.json"))
-    for key in sorted(set(new) - set(old)):
-        print("new entry: %s" % key)
-    for key in sorted(set(old) - set(new)):
-        print("gone entry: %s" % key)
-        ok = False
-    for key in sorted(set(old) & set(new)):
-        if old[key] == new[key]:
-            continue
-        try:
-            lost = deleted_unit_squares(key, old[key], new[key])
-        except ValueError as exc:
-            print("FAIL %s: %s" % (key, exc))
-            ok = False
-            continue
-        print("%s: %d deleted (%s)" % (key, len(lost), ", ".join(lost)))
     for name in sorted(os.listdir(os.path.join(ROOT, GOLDEN))):
-        if name == "cli_outputs.json":
-            continue
         before = old_text(rev, name)
         if before is None:
             print("%s: new file" % name)
@@ -110,11 +92,25 @@ def main(rev):
             print("%s: byte-identical" % name)
             continue
         print("%s: changed" % name)
-        if name == "bench_digests.json":
-            before, after = json.loads(before), json.loads(new_text(name))
-            for key in sorted(set(before) | set(after)):
-                if before.get(key) != after.get(key):
-                    print("  %s" % key)
+        old, new = json.loads(before), json.loads(new_text(name))
+        for key in sorted(set(new) - set(old)):
+            print("  new entry: %s" % key)
+        for key in sorted(set(old) - set(new)):
+            print("  gone entry: %s" % key)
+            ok = False
+        for key in sorted(set(old) & set(new)):
+            if old[key] == new[key]:
+                continue
+            if name != "cli_outputs.json":
+                print("  changed entry: %s" % key)
+                continue
+            try:
+                lost = deleted_unit_squares(key, old[key], new[key])
+            except ValueError as exc:
+                print("  FAIL %s: %s" % (key, exc))
+                ok = False
+                continue
+            print("  %s: %d deleted (%s)" % (key, len(lost), ", ".join(lost)))
     return 0 if ok else 1
 
 

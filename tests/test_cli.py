@@ -411,6 +411,19 @@ def test_lift_checks_no_coalgebra_laws(tmp_path, monkeypatch):
     assert counts == {"checks": 0, "cocomposition": 1}
 
 
+@pytest.mark.parametrize("trivial, calls", [(False, 1), (True, 2)],
+                         ids=["injective", "trivial-coaction"])
+def test_rho_tilde_checks_endvee_only_when_not_injective(tmp_path, monkeypatch,
+                                                         trivial, calls):
+    # B's laws are always checked; an injective ρ̃ that respects Δ and ε
+    # implies End^∨'s, so only a rank-deficient ρ̃ checks End^∨ as well
+    path = tmp_path / "cyclic5.json"
+    path.write_text(json.dumps(cyclic_document(5, trivial=trivial)))
+    counts = call_counts(monkeypatch, path, "rho-tilde",
+                         [(hopf.CoalgebraData, "checks"), (coend, "cocomposition")])
+    assert counts == {"checks": calls, "cocomposition": 1}
+
+
 def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch):
     # Δ, the coalgebra laws and the comodule laws contract one index at a
     # time, so no cyclic job allocates a Kronecker product of λ with itself

@@ -46,13 +46,18 @@ def cli_outputs():
 
 def cyclic_outputs():
     """Exit code and exact ``--json`` stdout per (command, field) on cyclic
-    Z/6, with the document on stdin."""
+    Z/6, with the document on stdin, and of ``rho-tilde`` per field on the
+    same document with the trivial coaction, where ρ̃ is not injective."""
     outputs = {}
     for label, p in CYCLIC_FIELDS.items():
         doc = json.dumps(cyclic_document(CYCLIC_N, p, CYCLIC_PERM, CYCLIC_DIAG))
         for cmd in ("nat", "reconstruct", "rho-tilde", "lift"):
             code, out, _ = run_cli([cmd, "--json"], doc)
             outputs["%s %s" % (cmd, label)] = {"exit": code, "stdout": out}
+        doc = json.dumps(cyclic_document(CYCLIC_N, p, CYCLIC_PERM, CYCLIC_DIAG,
+                                         trivial=True))
+        code, out, _ = run_cli(["rho-tilde", "--json"], doc)
+        outputs["rho-tilde trivial %s" % label] = {"exit": code, "stdout": out}
     return outputs
 
 

@@ -11,7 +11,7 @@ from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
                       VerificationError, characters, check_comodule,
                       check_rep_correspondence, comodule_morphism_space,
                       endvee_antipode, endvee_bialgebra, endvee_coalgebra,
-                      intertwines_all, kron, lift_functor, load_document,
+                      grouplikes, intertwines_all, kron, lift_functor, load_document,
                       morphism_image_span, natvee, rank, rho_tilde,
                       standard_pairing, tannaka)
 from tannakit.catpres import PresentationError
@@ -269,6 +269,50 @@ def test_rho_tilde_rejects_bad_comodule():
         rho_tilde(B, doc.category, doc.functor, bad)
 
 
+# Documents whose rho-tilde must verify End^∨: the comodule fixtures,
+# cyclic Z/2–Z/6 and the trivial coaction on Z/4, where ρ̃ has rank 1
+RHO_TILDE_DOCUMENTS = (
+    {name: json.loads(load_fixture_text(name))
+     for name in ("comatrix2", "z2_function", "z2_function_f2")}
+    | {"cyclic%d-%s" % (n, label): cyclic_document(n, p)
+       for n in range(2, 7) for label, p in (("Q", None), ("F7", 7))}
+    | {"cyclic4-trivial": cyclic_document(4, trivial=True)})
+
+
+@pytest.mark.parametrize("name", RHO_TILDE_DOCUMENTS)
+def test_passing_rho_tilde_report_implies_the_coalgebra_laws(name):
+    # an injective ρ̃ that respects Δ and ε pulls B's coalgebra laws back
+    # to End^∨; otherwise rho_tilde checks End^∨'s laws itself
+    doc = load_document(RHO_TILDE_DOCUMENTS[name])
+    B = CoalgebraData(doc.coalgebra["dim"], doc.coalgebra["delta"],
+                      doc.coalgebra["eps"])
+    P = natvee(doc.category, doc.functor, doc.functor)
+    _, report = rho_tilde(B, doc.category, doc.functor, comodules_from(doc, B), P)
+    assert report.passed
+    assert endvee_coalgebra(P).checks().passed
+
+
+# on cyclic Z/4 ρ̃ is injective, so a broken Δ or ε fails the morphism
+# check that compares with it; on z2_function ρ̃ is not, and End^∨'s own
+# counit laws fail
+@pytest.mark.parametrize("name, builder, mutate, failing", [
+    ("cyclic4-Q", "cocomposition", doubled, {"rho_tilde_respects_delta"}),
+    ("cyclic4-Q", "counit", perturbed, {"rho_tilde_respects_eps"}),
+    ("z2_function", "cocomposition", doubled, {"counit_left", "counit_right"}),
+    ("z2_function", "counit", perturbed, {"counit_left", "counit_right"}),
+], ids=["2delta-cyclic4", "eps-cyclic4", "2delta-z2-function",
+        "eps-z2-function"])
+def test_broken_endvee_fails_rho_tilde(monkeypatch, name, builder, mutate,
+                                       failing):
+    build = getattr(tannaka, builder)
+    monkeypatch.setattr(tannaka, builder, lambda *args: mutate(build(*args)))
+    code, out, err = run_cli(["rho-tilde", "--json"],
+                             json.dumps(RHO_TILDE_DOCUMENTS[name]))
+    assert (code, err) == (1, "")
+    assert {c["name"] for c in json.loads(out)["checks"]
+            if not c["passed"]} == failing
+
+
 def comatrix_formula(n, field):
     """Δ(e_i⊗e_j^∨) = Σ_k (e_i⊗e_k^∨)⊗(e_k⊗e_j^∨) and ε(e_i⊗e_j^∨) = δ_ij,
     written out entry by entry: the comatrix coalgebra of K^n."""
@@ -517,3 +561,57 @@ def test_grouplike_table_of_vec_s3_is_its_cayley_table():
     assert payload["grouplike_table"] == [[index[tuple(g[k] for k in h)]
                                            for h in perms] for g in perms]
     assert len(payload["characters"]) == 2
+
+
+def closure(generators):
+    """The group of permutations that ``generators`` generate, sorted."""
+    n = len(generators[0])
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(g[i] for i in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return sorted(group)
+
+
+def quaternion_group():
+    """Q_8 as the permutations of {±1, ±i, ±j, ±k} by left multiplication."""
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+    units = [tuple(s * int(k == axis) for k in range(4))
+             for axis in range(4) for s in (1, -1)]
+    return closure([tuple(units.index(mul(u, x)) for x in units)
+                    for u in units])
+
+
+# D_4 acting on the corners of a square: the rotation and a reflection
+NONABELIAN_GROUPS = {"D4": closure([(1, 2, 3, 0), (0, 3, 2, 1)]),
+                     "Q8": quaternion_group()}
+
+
+@pytest.mark.parametrize("group", NONABELIAN_GROUPS)
+def test_grouplike_table_of_vec_d4_and_q8_is_the_cayley_table(group):
+    # End^∨ of Vec_G is the group algebra Q[G]: its grouplikes are the
+    # objects in order, g_i·g_j = m(g_i⊗g_j) is the object g_i∘g_j, so the
+    # table tells m from its opposite; the characters are those of
+    # G/[G, G] = Z/2 × Z/2
+    perms = NONABELIAN_GROUPS[group]
+    n = len(perms)
+    doc = load_document(group_graded_document(perms))
+    P = natvee(doc.category, doc.functor, doc.functor)
+    big = endvee_bialgebra(doc.category, doc.functor, doc.tensor, P)
+    gls = [Matrix.column(QQ, v) for v in grouplikes(big.coalgebra)]
+    assert gls == [Matrix.identity(QQ, n).select_cols([i]) for i in range(n)]
+    index = {g: i for i, g in enumerate(perms)}
+    cayley = [[index[tuple(g[k] for k in h)] for h in perms] for g in perms]
+    assert n == 8 and cayley != [list(col) for col in zip(*cayley)]
+    assert [[gls.index(big.m @ kron(a, b)) for b in gls] for a in gls] == cayley
+    assert len(characters(big)) == 4
