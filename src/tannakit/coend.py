@@ -108,16 +108,6 @@ class CoendPresentation:
                 "(a dinaturality premise failed)" % name)
         return candidate
 
-    def to_json(self):
-        """Stable serialization (quotient dim, relation rank, λ matrices)."""
-        return {
-            "quotient_dim": self.quotient_dim,
-            "relation_rank": self.relation_span.dim,
-            "object_index": [[obj, fd, gd] for obj, fd, gd in self.object_index],
-            "lambda": {obj: self.lam(obj).to_strings()
-                       for obj, _, _ in self.object_index},
-        }
-
 
 def _block_offsets(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     """``(offsets, total)`` of the blocks of dim F(C)·G(C), one per object,

@@ -324,40 +324,52 @@ def schur_weyl_document(k, p=None, r=SWAP):
     }
 
 
+def graded_document(objects, table, unit, p=None):
+    """Vec_M over Q or (``p``) F_p for a monoid M given by its table.
+
+    One object of dimension 1 per element of M, named in ``objects``,
+    with c⊗d = ``table[(c, d)]`` and tensor unit ``unit``; every s and
+    f_unit is 1, and there are no generators and no duality section.
+    End^∨ is the monoid bialgebra K[M].
+    """
+    one = [["1"]]
+    return {
+        "field": "Q" if p is None else {"Fp": p},
+        "objects": list(objects),
+        "generators": [],
+        "relations": [],
+        "functor": {"on_objects": {c: 1 for c in objects},
+                    "on_generators": {}},
+        "tensor": {
+            "unit": unit,
+            "on_objects": [[c, d, cd] for (c, d), cd in table.items()],
+            "s": {"%s,%s" % pair: one for pair in table},
+            "f_unit": one,
+        },
+    }
+
+
 def group_graded_document(perms, p=None):
     """Vec_G over Q or (``p``) F_p for a group G of permutations.
 
-    One object of dimension 1 per permutation, ``g<i>`` for ``perms[i]``,
-    with g⊗h = g∘h; every s and f_unit is 1, there are no generators,
-    and the dual of g is g⁻¹ with unit and counit the empty path at the
-    identity.  End^∨ is the group algebra K[G], so its grouplike table
-    is the Cayley table of G in object order.
+    ``graded_document`` on one object ``g<i>`` per permutation
+    ``perms[i]``, with g⊗h = g∘h, and the dual of g is g⁻¹ with unit and
+    counit the empty path at the identity.  End^∨ is the group algebra
+    K[G], so its grouplike table is the Cayley table of G in object order.
     """
     perms = [tuple(g) for g in perms]
     name = {g: "g%d" % i for i, g in enumerate(perms)}
     unit = name[tuple(range(len(perms[0])))]
-    one = [["1"]]
-    compose = {(g, h): tuple(g[i] for i in h) for g in perms for h in perms}
-    inverse = {g: next(h for h in perms if name[compose[(g, h)]] == unit)
-               for g in perms}
-    return {
-        "field": "Q" if p is None else {"Fp": p},
-        "objects": [name[g] for g in perms],
-        "generators": [],
-        "relations": [],
-        "functor": {"on_objects": {name[g]: 1 for g in perms},
-                    "on_generators": {}},
-        "tensor": {
-            "unit": unit,
-            "on_objects": [[name[g], name[h], name[gh]]
-                           for (g, h), gh in compose.items()],
-            "s": {"%s,%s" % (name[g], name[h]): one for g, h in compose},
-            "f_unit": one,
-        },
-        "duality": {"dual_of": {name[g]: name[inverse[g]] for g in perms},
-                    "eta": {name[g]: {"at": unit} for g in perms},
-                    "eps": {name[g]: {"at": unit} for g in perms}},
-    }
+    table = {(name[g], name[h]): name[tuple(g[i] for i in h)]
+             for g in perms for h in perms}
+    objects = [name[g] for g in perms]
+    doc = graded_document(objects, table, unit, p)
+    doc["duality"] = {
+        "dual_of": {c: next(d for d in objects if table[(c, d)] == unit)
+                    for c in objects},
+        "eta": {c: {"at": unit} for c in objects},
+        "eps": {c: {"at": unit} for c in objects}}
+    return doc
 
 
 def random_z2_graded_document(rng, p=None):

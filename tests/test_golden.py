@@ -1,9 +1,8 @@
-"""Golden files of the CLI's exact output, and of the serialized coend.
+"""Golden files of the CLI's exact output.
 
-``GOLDEN`` maps each CLI golden file to the function that produces it;
+``GOLDEN`` maps each golden file to the function that produces it;
 ``python tests/test_golden.py`` rewrites all of them, and a diff there is
-a change of the program's output.  The two ``*_coend.json`` files are
-compared only.
+a change of the program's output.
 """
 
 import hashlib
@@ -13,11 +12,8 @@ import os
 
 import pytest
 
-from tannakit import natvee
-
 from conftest import (DOCUMENT_COMMANDS, FIXTURES, FRT_R, SUPER_SWAP, SWAP,
-                      cyclic_document, load_fixture, run_cli,
-                      schur_weyl_document)
+                      cyclic_document, run_cli, schur_weyl_document)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
@@ -121,20 +117,6 @@ def test_cyclic_reconstruct_is_the_regular_quotient():
         payload = json.loads(golden["reconstruct %s" % label]["stdout"])
         assert (payload["quotient_dim"], payload["relation_rank"]) == (
             CYCLIC_N, CYCLIC_N * CYCLIC_N - CYCLIC_N)
-
-
-def test_coend_serialization_matches_golden_files():
-    for name in ["z2_regular", "z2_character"]:
-        doc = load_fixture(name)
-        P = natvee(doc.category, doc.functor, doc.functor)
-        assert P.to_json() == read_golden("%s_coend.json" % name)
-
-
-def test_coend_serialization_is_deterministic():
-    doc = load_fixture("z2_regular")
-    a = natvee(doc.category, doc.functor, doc.functor).to_json()
-    b = natvee(doc.category, doc.functor, doc.functor).to_json()
-    assert json.dumps(a) == json.dumps(b)
 
 
 if __name__ == "__main__":

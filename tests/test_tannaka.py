@@ -1,30 +1,34 @@
 import io
 import json
 import os
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import tannakit
-from tannakit import (GF, CoalgebraData, ComoduleData, Matrix, QQ,
-                      VerificationError, characters, check_comodule,
-                      check_rep_correspondence, comodule_morphism_space,
-                      endvee_antipode, endvee_bialgebra, endvee_coalgebra,
-                      grouplikes, intertwines_all, kron, lift_functor, load_document,
+from tannakit import (GF, BialgebraData, CoalgebraData, ComoduleData,
+                      Matrix, QQ, VerificationError, characters,
+                      check_comodule, check_rep_correspondence,
+                      comodule_morphism_space, endvee_antipode,
+                      endvee_bialgebra, endvee_coalgebra, grouplikes,
+                      intertwines_all, kron, lift_functor, load_document,
                       morphism_image_span, natvee, rank, rho_tilde,
                       standard_pairing, tannaka)
-from tannakit.catpres import PresentationError
+from tannakit.catpres import (PresentationError, validate_functor,
+                              validate_tensor_data)
 from tannakit.cli import load_fixture_text
 from tannakit.coend import pairing_to_nat
 from tannakit.hopf import convolve_functionals, enumerate_linear_maps
-from tannakit.linalg import SubspaceBasis, swap_perm, uncurry
+from tannakit.linalg import SubspaceBasis, inverse, swap_perm, uncurry
 from tannakit.tannaka import rep_of_comodule
 
 from conftest import (FIXTURES, FRT_R, SUPER_SWAP, SWAP, bare_object,
-                      cyclic_document, dense_comodule_maps,
+                      cyclic_document, dense_comodule_maps, graded_document,
                       group_graded_document, load_fixture, rand_matrix,
-                      rand_sparse_matrix, run_cli, schur_weyl_document)
+                      rand_sparse_matrix, random_z2_graded_document, run_cli,
+                      schur_weyl_document)
 
 
 def endvee(name):
@@ -130,6 +134,49 @@ def test_endvee_antipode_singular_unit_raises():
     with pytest.raises(PresentationError):
         endvee_antipode(doc.category, doc.functor, doc.tensor, doc.duality,
                         P, bialgebra=big)
+
+
+@pytest.mark.parametrize("command, calls", [("characters", (2, 2)),
+                                            ("reconstruct", (6, 4))])
+def test_coalgebra_and_bialgebra_check_counts(monkeypatch, command, calls):
+    # characters builds End^∨'s Δ and ε unverified and checks them once,
+    # inside each bialgebra check (endvee_bialgebra's, then the Hopf
+    # check's); reconstruct also reports each layer's checks
+    counts = {CoalgebraData: 0, BialgebraData: 0}
+    for cls in counts:
+        def counted(self, _cls=cls, _checks=cls.checks):
+            counts[_cls] += 1
+            return _checks(self)
+        monkeypatch.setattr(cls, "checks", counted)
+    code, _, _ = run_cli([command, "--fixture", "z2_character", "--json"])
+    assert code == 0
+    assert (counts[CoalgebraData], counts[BialgebraData]) == calls
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_endvee_unit_is_lambda_of_the_tensor_unit(p):
+    # an invertible f makes F(I) a line, so f⊗f^{-∨} is the identity of
+    # F(I)⊗F(I)^∨ and the unit λ_I∘(f⊗f^{-∨}) is λ_I for every f
+    rng = random.Random(25 + (p or 0))
+    kept = 0
+    for _ in range(300):
+        doc = load_document(random_z2_graded_document(rng, p))
+        cat, F, T = doc.category, doc.functor, doc.tensor
+        f = T.f_unit
+        if f == Matrix.identity(F.field, 1):
+            continue
+        try:
+            report = validate_functor(cat, F).extend(
+                validate_tensor_data(cat, F, T))
+        except PresentationError:
+            continue
+        if not report.passed:
+            continue
+        kept += 1
+        P = natvee(cat, F, F)
+        assert endvee_bialgebra(cat, F, T, P).u == (
+            P.lam(T.unit) @ kron(f, inverse(f).transpose()))
+    assert kept >= 20
 
 
 def test_lift_trivial():
@@ -294,23 +341,39 @@ def test_passing_rho_tilde_report_implies_the_coalgebra_laws(name):
 
 # on cyclic Z/4 ρ̃ is injective, so a broken Δ or ε fails the morphism
 # check that compares with it; on z2_function ρ̃ is not, and End^∨'s own
-# counit laws fail
-@pytest.mark.parametrize("name, builder, mutate, failing", [
-    ("cyclic4-Q", "cocomposition", doubled, {"rho_tilde_respects_delta"}),
-    ("cyclic4-Q", "counit", perturbed, {"rho_tilde_respects_eps"}),
-    ("z2_function", "cocomposition", doubled, {"counit_left", "counit_right"}),
-    ("z2_function", "counit", perturbed, {"counit_left", "counit_right"}),
+# counit laws fail too, reported after ρ̃'s checks as ``law:endvee``
+ENDVEE_LAWS = ["coassociativity:endvee", "counit_left:endvee",
+               "counit_right:endvee"]
+
+
+@pytest.mark.parametrize("name, builder, mutate, failing, tail", [
+    ("cyclic4-Q", "cocomposition", doubled, {"rho_tilde_respects_delta"}, []),
+    ("cyclic4-Q", "counit", perturbed, {"rho_tilde_respects_eps"}, []),
+    ("z2_function", "cocomposition", doubled,
+     {"rho_tilde_respects_delta", "counit_left:endvee", "counit_right:endvee"},
+     ENDVEE_LAWS),
+    ("z2_function", "counit", perturbed,
+     {"rho_tilde_respects_eps", "counit_left:endvee", "counit_right:endvee"},
+     ENDVEE_LAWS),
 ], ids=["2delta-cyclic4", "eps-cyclic4", "2delta-z2-function",
         "eps-z2-function"])
 def test_broken_endvee_fails_rho_tilde(monkeypatch, name, builder, mutate,
-                                       failing):
+                                       failing, tail):
     build = getattr(tannaka, builder)
     monkeypatch.setattr(tannaka, builder, lambda *args: mutate(build(*args)))
     code, out, err = run_cli(["rho-tilde", "--json"],
                              json.dumps(RHO_TILDE_DOCUMENTS[name]))
     assert (code, err) == (1, "")
-    assert {c["name"] for c in json.loads(out)["checks"]
-            if not c["passed"]} == failing
+    checks = json.loads(out)["checks"]
+    names = [c["name"] for c in checks]
+    assert len(names) == len(set(names))
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+    # B's own laws pass, and ρ̃'s three checks come before End^∨'s laws
+    passed = {c["name"] for c in checks if c["passed"]}
+    assert {"coassociativity", "counit_left", "counit_right"} <= passed
+    assert names[-3 - len(tail):] == ["rho_tilde_well_defined",
+                                      "rho_tilde_respects_delta",
+                                      "rho_tilde_respects_eps"] + tail
 
 
 def comatrix_formula(n, field):
@@ -561,6 +624,28 @@ def test_grouplike_table_of_vec_s3_is_its_cayley_table():
     assert payload["grouplike_table"] == [[index[tuple(g[k] for k in h)]
                                            for h in perms] for g in perms]
     assert len(payload["characters"]) == 2
+
+
+def test_monoid_table_gives_the_monoid_bialgebra():
+    # M = {e, x} with x·x = x: End^∨ is the bialgebra Q[M], which has no
+    # antipode since x is idempotent and not e, and its characters are the
+    # monoid maps M → (Q, ·), χ(x) ∈ {0, 1}
+    table = {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x", ("x", "x"): "x"}
+    doc = json.dumps(graded_document(["e", "x"], table, "e"))
+    runs = {}
+    for command in ("validate", "reconstruct", "characters"):
+        code, out, err = run_cli([command, "--json"], doc)
+        assert (code, err) == (0, "")
+        runs[command] = json.loads(out)
+        assert all(c["passed"] for c in runs[command]["checks"])
+    assert len(runs["validate"]["checks"]) == 14
+    rec = runs["reconstruct"]
+    assert len(rec["checks"]) == 27
+    assert (rec["quotient_dim"], rec["relation_rank"]) == (2, 0)
+    assert rec["structure"]["m"] == [["1", "0", "0", "0"], ["0", "1", "1", "1"]]
+    assert rec["structure"]["u"] == [["1"], ["0"]]
+    assert "antipode" not in rec["structure"] and "grouplikes" not in rec
+    assert runs["characters"]["characters"] == [["1", "0"], ["1", "1"]]
 
 
 def closure(generators):
