@@ -171,21 +171,33 @@ def cmd_reconstruct(args):
         report.extend(hopf.checks())
     payload["structure"] = (hopf or big or coalg).to_json()
     if hopf is not None:
-        try:
-            gls = grouplikes(coalg)
-            table, grep = grouplike_group(hopf, gls)
-            payload["grouplikes"] = [[coalg.field.format(x) for x in v]
-                                     for v in gls]
-            payload["grouplike_table"] = table
-            report.extend(grep)
-            chars = characters(big)
-            ctable, crep = convolution_group(chars, hopf)
-            payload["characters"] = [chi.to_strings()[0] for chi in chars]
-            payload["character_table"] = ctable
-            report.extend(crep)
-        except UnsupportedCoalgebraError as exc:
-            payload["grouplikes"] = "unsupported: %s" % exc
+        _group_stage(payload, report, hopf)
     return _emit(payload, report, args.json)
+
+
+def _group_stage(payload, report, hopf):
+    """Add the grouplike group and the character group of a Hopf algebra.
+    A refused search is reported under its own key, and a refused
+    grouplike search skips the character search."""
+    big = hopf.bialgebra
+    try:
+        gls = grouplikes(big.coalgebra)
+    except UnsupportedCoalgebraError as exc:
+        payload["grouplikes"] = "unsupported: %s" % exc
+        return
+    table, grep = grouplike_group(hopf, gls)
+    payload["grouplikes"] = [[big.field.format(x) for x in v] for v in gls]
+    payload["grouplike_table"] = table
+    report.extend(grep)
+    try:
+        chars = characters(big)
+    except UnsupportedCoalgebraError as exc:
+        payload["characters"] = "unsupported: %s" % exc
+        return
+    ctable, crep = convolution_group(chars, hopf)
+    payload["characters"] = [chi.to_strings()[0] for chi in chars]
+    payload["character_table"] = ctable
+    report.extend(crep)
 
 
 def cmd_lift(args):

@@ -62,31 +62,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Abstract exact field.  Elements are canonical immutable values."""
+    """Abstract exact field.  Elements are canonical immutable values.
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    A concrete field has a ``name`` and provides ``zero``, ``one``,
+    ``from_int``, ``add``, ``sub``, ``mul``, ``neg``, ``inv``, ``_parse``
+    (a stripped scalar string to an element), ``format`` (an element to
+    its text), and ``abs_key``, the order key used to pick the max-norm
+    entry of lhs − rhs.
+    """
 
     def parse(self, text: str):
         """Decode a scalar string; any malformed scalar raises FieldError."""
@@ -98,16 +81,6 @@ class Field:
             raise
         except (ValueError, ZeroDivisionError):
             raise FieldError("malformed scalar %r over %s" % (text, self.name)) from None
-
-    def _parse(self, text: str):
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def abs_key(self, a):
-        """Order key used to pick the max-norm entry of lhs − rhs."""
-        raise NotImplementedError
 
     def elements(self):
         """Iterate all field elements (finite fields only)."""

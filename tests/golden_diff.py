@@ -5,8 +5,11 @@
 compares each file under ``tests/golden/`` at git revision ``REV`` with
 the working tree.  It prints whether each file is new, byte-identical,
 changed or gone, and for a changed file the top-level entries that are
-new, gone or changed.  Exits 1 when any entry changed or is gone, or
-any file is gone; a new file or entry alone exits 0.
+new, gone or changed.  Under a changed entry whose ``stdout`` is a JSON
+object on both sides it prints what changed inside: the exit code, each
+other top-level key of the output, and the check names that are gone,
+new or changed.  Exits 1 when any entry changed or is gone, or any file
+is gone; a new file or entry alone exits 0.
 """
 
 import json
@@ -36,6 +39,44 @@ def new_text(name):
         return fh.read()
 
 
+def _output(entry):
+    """An entry's ``stdout`` as a JSON object, or None."""
+    try:
+        out = json.loads(entry["stdout"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return out if isinstance(out, dict) else None
+
+
+def _checks(out):
+    """Each check name of an output with its first record, in order."""
+    first = {}
+    for check in out.get("checks", []):
+        first.setdefault(check["name"], check)
+    return first
+
+
+def entry_changes(old, new):
+    """The lines that say what changed inside one golden entry."""
+    lines = []
+    if old.get("exit") != new.get("exit"):
+        lines.append("exit: %s -> %s" % (old.get("exit"), new.get("exit")))
+    before, after = _output(old), _output(new)
+    if before is None or after is None:
+        return lines
+    for key in sorted((set(before) | set(after)) - {"checks"}):
+        if before.get(key) != after.get(key):
+            lines.append("key changed: %s" % key)
+    was, now = _checks(before), _checks(after)
+    for label, names in (
+            ("gone", [n for n in was if n not in now]),
+            ("new", [n for n in now if n not in was]),
+            ("changed", [n for n in was if n in now and was[n] != now[n]])):
+        if names:
+            lines.append("checks %s: %s" % (label, ", ".join(names)))
+    return lines
+
+
 def main(rev):
     ok = True
     before_names = old_names(rev)
@@ -62,6 +103,8 @@ def main(rev):
         for key in sorted(set(old) & set(new)):
             if old[key] != new[key]:
                 print("  changed entry: %s" % key)
+                for line in entry_changes(old[key], new[key]):
+                    print("    %s" % line)
                 ok = False
     return 0 if ok else 1
 

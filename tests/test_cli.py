@@ -15,7 +15,8 @@ from tannakit.cli import load_fixture_text, main
 from tannakit.fields import GF, QQ
 from tannakit.report import Check, check_equal
 
-from conftest import DOCUMENT_COMMANDS, FIXTURES, cyclic_document, run_cli
+from conftest import (DOCUMENT_COMMANDS, FIXTURES, cyclic_document,
+                      graded_document, run_cli)
 
 BROKEN_DOC = {
     "field": "Q",
@@ -205,12 +206,23 @@ def test_coherence_word_dimension_capped():
     assert "word dimension exceeds" in message
 
 
-@pytest.mark.parametrize("expr", ["swap[a,b;x]", "swap[a,b;0", "swap[a,b;]",
-                                  "(id[a] ; id[b])", "id[a,,b]", "swap[,;0]",
-                                  "swap[a,b;5]"])
+BAD_EXPRESSIONS = {
+    "swap[a,b;x]": "swap position must be an integer, got 'x'",
+    "swap[a,b;0": "unterminated '['",
+    "swap[a,b;]": "swap position must be an integer, got ''",
+    "(id[a] ; id[b])": "composition boundary mismatch: ['a'] vs ['b']",
+    "id[a,,b]": "empty atom name in word [a,,b]",
+    "swap[,;0]": "empty atom name in word [,]",
+    "swap[a,b;5]": "swap position 5 out of range for word of length 2",
+    "(id[a] ; id[a]": "expected ')'",
+    "foo": "cannot parse expression at: 'foo'",
+}
+
+
+@pytest.mark.parametrize("expr", list(BAD_EXPRESSIONS))
 def test_coherence_bad_expression_exits_with_one_line(expr):
     message = rejected("coherence", expr, "id[a,b]")
-    assert message.startswith("coherence:")
+    assert message == "coherence: " + BAD_EXPRESSIONS[expr]
 
 
 @pytest.mark.parametrize("argv, failing, residue", [
@@ -223,6 +235,27 @@ def test_refused_computation_is_one_failing_check(argv, failing, residue):
     failures = [c for c in json.loads(out)["checks"] if not c["passed"]]
     assert code == 1
     assert failures == [{"name": failing, "passed": False, "residue": residue}]
+
+
+def test_refused_character_search_keeps_the_grouplike_group(monkeypatch):
+    # over Q the grouplikes of a grouplike basis are read off, while the
+    # characters enumerate 3^2 value patterns, which this bound refuses
+    monkeypatch.setattr(hopf, "ENUMERATION_BOUND", 8)
+    code, out, _ = run_cli(["reconstruct", "--fixture", "z2_character", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    assert payload["grouplikes"] == [["1", "0"], ["0", "1"]]
+    assert "grouplike_table" in payload and "character_table" not in payload
+    assert payload["characters"] == (
+        "unsupported: value-pattern space 3^2 exceeds the bound")
+    assert [c["name"] for c in payload["checks"][-3:]] == [
+        "grouplike_unit_is_member", "grouplike_closure",
+        "grouplike_antipode_inverse"]
+
+
+def test_field_flag_naming_the_document_field_changes_nothing():
+    argv = ["reconstruct", "--fixture", "z2_character", "--json"]
+    assert run_cli(argv + ["--field", "Q"]) == run_cli(argv)
 
 
 def test_readme_commands_exit_zero():
@@ -515,6 +548,18 @@ def test_duality_without_tensor_fails_validate_and_reconstruct():
         assert code == 1 and report["checks"][-1] == needs, command
 
 
+def test_nonassociative_table_fails_exactly_its_triples():
+    # x⊗x = y⊗y = I and x⊗y = y⊗x = y: (x⊗y)⊗y = I but x⊗(y⊗y) = x
+    table = {("I", c): c for c in "Ixy"}
+    table.update({(c, "I"): c for c in "Ixy"})
+    table.update({("x", "x"): "I", ("y", "y"): "I", ("x", "y"): "y", ("y", "x"): "y"})
+    code, report = run_document("validate", graded_document(["I", "x", "y"], table, "I"))
+    failures = [(c["name"], c["residue"]) for c in report["checks"] if not c["passed"]]
+    assert code == 1
+    assert failures == [("tensor_table_assoc:x,y,y", "table"),
+                        ("tensor_table_assoc:y,y,x", "table")]
+
+
 def test_generator_into_a_zero_dimensional_object():
     # g: a → z with dims 2 and 0 has the 0×2 matrix, written [] like 0×0
     doc = {"field": "Q", "objects": ["a", "z"],
@@ -664,6 +709,8 @@ MALFORMED = [
      "document: eta path for 'one' has wrong endpoints"),
     ("z2_character", _set(("duality", "eps", "sigma"), {"at": "sigma"}),
      "document: eps path for 'sigma' has wrong endpoints"),
+    ("z2_graded", _drop(("tensor", "on_generators", 0)),
+     "document: tensor action of t on I missing"),
 ]
 
 
@@ -675,7 +722,7 @@ MALFORMED = [
     "s-key-no-comma", "tensor-table-missing-pair", "no-dual_of", "dual_of-unknown",
     "field-modulus-text", "duplicate-object", "symmetry-endpoints", "src-list",
     "tensor-unit-list", "relation-two-empty-sides", "eta-endpoints",
-    "eps-endpoints"])
+    "eps-endpoints", "tensor-action-missing"])
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 def test_malformed_document_exits_with_one_line(command, fixture, mutate, prefix):
     doc = json.loads(load_fixture_text(fixture))

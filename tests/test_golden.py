@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+import golden_diff
 from conftest import (DOCUMENT_COMMANDS, FIXTURES, FRT_R, SUPER_SWAP, SWAP,
                       cyclic_document, run_cli, schur_weyl_document)
 
@@ -117,6 +118,20 @@ def test_cyclic_reconstruct_is_the_regular_quotient():
         payload = json.loads(golden["reconstruct %s" % label]["stdout"])
         assert (payload["quotient_dim"], payload["relation_rank"]) == (
             CYCLIC_N, CYCLIC_N * CYCLIC_N - CYCLIC_N)
+
+
+def test_golden_diff_says_what_changed_inside_an_entry():
+    def entry(code, checks, **keys):
+        out = dict(keys, checks=[{"name": n, "passed": ok} for n, ok in checks])
+        return {"exit": code, "stdout": json.dumps(out)}
+
+    old = entry(0, [("a", True), ("b", True), ("c", True)], dim=2)
+    new = entry(1, [("a", False), ("c", True), ("d", True)], dim=2, extra=1)
+    assert golden_diff.entry_changes(old, new) == [
+        "exit: 0 -> 1", "key changed: extra", "checks gone: b", "checks new: d",
+        "checks changed: a"]
+    assert golden_diff.entry_changes({"exit": 0, "stdout": "x"},
+                                     {"exit": 0, "stdout": "y"}) == []
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from tannakit import (GF, AlgebraData, BialgebraData, CoalgebraData,
                       characters, check_comodule, check_comodule_morphism,
                       convolution_group, grouplike_group, grouplikes, kron)
 from tannakit import hopf
-from tannakit.hopf import (HopfData, check_character, convolution,
+from tannakit.hopf import (HopfData, convolution,
                            convolve_functionals, enumerate_linear_maps,
                            is_grouplike)
 from tannakit.report import check_equal
@@ -288,7 +288,6 @@ def test_group_tables_index_the_last_match():
     assert table == [[2, 1, 2], [1, 2, 1], [2, 1, 2]]
     # ε is found at index 2, and row 2 does not fix index 0
     assert [(c.name, c.passed) for c in report.checks] == [
-        ("character:0", True), ("character:1", True), ("character:2", True),
         ("counit_is_member", True), ("character_closure", True),
         ("counit_is_identity", False), ("antipode_gives_inverse", True)]
 
@@ -307,16 +306,6 @@ def test_grouplike_group_z2():
     table, report = grouplike_group(H, gls)
     assert report.passed
     assert table == [[0, 1], [1, 0]]
-
-
-def test_check_character():
-    H = group_algebra_z2()
-    eps = H.bialgebra.eps
-    chi = Matrix(QQ, [[Fraction(1), Fraction(-1)]])
-    assert check_character(eps, H.bialgebra)
-    assert check_character(chi, H.bialgebra)
-    assert not check_character(Matrix(QQ, [[Fraction(1), Fraction(2)]]),
-                               H.bialgebra)
 
 
 def test_characters_solved_over_q():
