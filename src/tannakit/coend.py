@@ -14,10 +14,11 @@ presentation builds them as sparse rows and hands them to
 them as they are, and only the projection and the maps out of the
 quotient are dense ``Matrix`` values.
 
-``nat_space`` computes Nat(F, G) on the other side of the predual pairing
-as the solution space of the naturality equations, which it builds as
-sparse rows for ``kernel_basis`` in the same way; θ_C is uncurry of the
-block of a kernel vector at C.  The pairing between
+``nat_space`` computes Nat(F, G), the dual of Nat^∨(F, G), as the kernel
+of the same relation rows: a functional on the ambient sum that kills
+them is a natural family, θ_C = curry of its block at C.  One helper,
+``_natural_family``, reads θ off an ambient functional, for a kernel
+vector and for ``pairing_to_nat``'s ξ∘proj alike.  The pairing between
 the two is the tensor–hom adjunction: ``pairing_to_nat`` curries ξ∘λ_C
 and ``nat_to_pairing`` uncurries θ_C (``linalg.curry``/``uncurry``), and
 the coevaluation η_C is curry(λ_C).
@@ -111,7 +112,7 @@ class CoendPresentation:
 
 def _block_offsets(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
     """``(offsets, total)`` of the blocks of dim F(C)·G(C), one per object,
-    in the coend's ambient sum and in the naturality system alike."""
+    in the coend's ambient sum."""
     offsets = {}
     total = 0
     for obj in cat.objects:
@@ -165,42 +166,34 @@ class EndSpace:
 
 
 def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSpace:
-    """Solve the naturality equations θ_{C'}∘F(f) = G(f)∘θ_C exactly."""
+    """Nat(F, G) as the kernel of the coend relations.
+
+    A kernel vector v is a functional on ⊕_C F(C)⊗G(C)^∨, and the relation
+    of (f: C→C', i, j) paired with v is (G(f)∘θ_C − θ_{C'}∘F(f))[j, i] for
+    θ = ``_natural_family`` of v; so the kernel is the natural families.
+    """
     field = F.field
-    zero = field.zero()
-    offs, total = _block_offsets(cat, F, G)    # θ_C is G-dim × F-dim, row-major
-    rows = []
-    for g in cat.generators:
-        src, dst = g.src, g.dst
-        fcols = F.gen_matrix(g.name).sparse_cols()
-        grows = G.gen_matrix(g.name).sparse_rows()
-        for a in range(G.dim(dst)):
-            for b in range(F.dim(src)):
-                #  (θ_{dst} F(f))[a,b] = Σ_l θ_dst[a,l] F(f)[l,b]
-                row = {offs[dst] + a * F.dim(dst) + l: coeff
-                       for l, coeff in fcols[b].items()}
-                #  −(G(f) θ_{src})[a,b] = −Σ_k G(f)[a,k] θ_src[k,b]
-                for k, coeff in grows[a].items():
-                    pos = offs[src] + k * F.dim(src) + b
-                    row[pos] = field.sub(row.get(pos, zero), coeff)
-                rows.append(row)
-    basis = []
-    for vec in kernel_basis(rows, field, total).rows:
-        family = {}
-        for obj in cat.objects:
-            gd, fd = G.dim(obj), F.dim(obj)
-            block = range(offs[obj], offs[obj] + gd * fd)
-            column = Matrix.from_rows(field, [{0: vec.get(k, zero)} for k in block], 1)
-            family[obj] = uncurry(column, gd, fd)
-        basis.append(family)
-    return EndSpace(basis)
+    offs, total = _block_offsets(cat, F, G)
+    index = [(obj, F.dim(obj), G.dim(obj)) for obj in cat.objects]
+    kernel = kernel_basis(_relation_rows(cat, F, G, offs), field, total)
+    return EndSpace([_natural_family(index, offs, Matrix.from_rows(field, [v], total))
+                     for v in kernel.rows])
+
+
+def _natural_family(index, offsets, functional: Matrix) -> dict:
+    """θ_C = curry of the block at C of a functional on ⊕_C F(C)⊗G(C)^∨,
+    for each (C, dim F(C), dim G(C)) in ``index``."""
+    return {obj: curry(functional.select_cols(range(offsets[obj], offsets[obj] + fd * gd)),
+                       fd, gd)
+            for obj, fd, gd in index}
 
 
 def pairing_to_nat(P: CoendPresentation, xi: Matrix) -> dict:
-    """Natural family θ_C = curry(ξ∘λ_C) from a functional ξ on the coend."""
+    """Natural family θ_C = curry(ξ∘λ_C) from a functional ξ on the coend:
+    the family of the functional ξ∘proj on the ambient sum."""
     if xi.rows != 1 or xi.cols != P.quotient_dim:
         raise ValueError("functional must be 1 x quotient_dim")
-    return {obj: curry(xi @ P.lam(obj), fd, gd) for obj, fd, gd in P.object_index}
+    return _natural_family(P.object_index, P.offsets, xi @ P.proj)
 
 
 def nat_to_pairing(P: CoendPresentation, family: dict) -> Matrix:

@@ -16,10 +16,12 @@ laws of (m, u) are the coalgebra laws of (mᵀ, uᵀ) with each side
 transposed back, and a character χ is a grouplike χᵀ of (mᵀ, uᵀ); so
 grouplikes and characters share one bounded exhaustive search
 (``_search_space``, sized against ``ENUMERATION_BOUND`` before anything
-is enumerated) filtered by ``is_grouplike``, and one group table
-(``_group_table``) whose entries are the index of the last element equal
-to each product.  ``grouplike_group`` and ``convolution_group`` take
-their elements as the search found them and check only the group.
+is enumerated) filtered by ``is_grouplike``.  They also share one group
+report (``_group_report``): a character χ is a grouplike χᵀ of the dual
+Hopf algebra H* = (mᵀ, uᵀ, Δᵀ, εᵀ, Sᵀ), so ``convolution_group`` is
+``grouplike_group``'s check on H*.  Both take their elements as the
+search found them and check only the group; each table entry is the
+index of the last element equal to the product.
 """
 
 from itertools import product
@@ -312,36 +314,33 @@ def _last_index(items, x):
     return found
 
 
-def _group_table(items, mul):
-    """table[i][j] = _last_index(items, mul(items[i], items[j])), and
-    whether no product escapes the set."""
-    table = [[_last_index(items, mul(x, y)) for y in items] for x in items]
-    return table, all(None not in row for row in table)
+def _group_report(H: HopfData, elements, names) -> tuple:
+    """Multiplication table of a set of columns of H under m, with the
+    checks ``names``: the unit u(1) is a member, no product escapes the
+    set, and S sends each element to its two-sided inverse.
+    Returns (table, report); table[i][j] is the index of x_i·x_j."""
+    b = H.bialgebra
+    unit_name, closure_name, inverse_name = names
+    report = Report()
+    unit = b.u
+    report.add(Check(unit_name, unit in elements, "missing"))
+    table = [[_last_index(elements, b.m @ kron(x, y)) for y in elements]
+             for x in elements]
+    report.add(Check(closure_name, all(None not in row for row in table), "escapes"))
+    invs = [H.antipode @ x for x in elements]
+    inverse_ok = all(b.m @ kron(inv, x) == unit and b.m @ kron(x, inv) == unit
+                     for x, inv in zip(elements, invs))
+    report.add(Check(inverse_name, inverse_ok, "not inverse"))
+    return table, report
 
 
 def grouplike_group(H: HopfData, gls) -> tuple:
-    """Multiplication table of a grouplike set under m, with verification.
-
-    Checks closure, that u(1) is the neutral element and a member, and
-    that the antipode sends each grouplike to its two-sided inverse.
-    Returns (table, report); table[i][j] is the index of g_i·g_j.
-    """
-    field = H.field
-    b = H.bialgebra
-    report = Report()
-    cols = [Matrix.column(field, v) for v in gls]
-    unit = b.u
-    unit_idx = _last_index(cols, unit)
-    report.add(check_equal("grouplike_unit_is_member", unit,
-                           cols[unit_idx] if unit_idx is not None
-                           else Matrix.zeros(field, H.dim, 1)))
-    table, closure_ok = _group_table(cols, lambda x, y: b.m @ kron(x, y))
-    report.add(Check("grouplike_closure", closure_ok, "escapes"))
-    invs = [H.antipode @ c for c in cols]
-    inverse_ok = all(b.m @ kron(inv, c) == unit and b.m @ kron(c, inv) == unit
-                     for c, inv in zip(cols, invs))
-    report.add(Check("grouplike_antipode_inverse", inverse_ok, "not inverse"))
-    return table, report
+    """Multiplication table of a grouplike set under m, with verification
+    (``_group_report``).  Returns (table, report); table[i][j] is the
+    index of g_i·g_j."""
+    cols = [Matrix.column(H.field, v) for v in gls]
+    return _group_report(H, cols, ("grouplike_unit_is_member", "grouplike_closure",
+                                   "grouplike_antipode_inverse"))
 
 
 def characters(B: BialgebraData):
@@ -368,28 +367,17 @@ def convolution_group(chars, H: HopfData) -> tuple:
     """Multiplication table of a character set under convolution, with
     verification.
 
-    The characters are taken as ``characters`` found them, as grouplikes
-    are in ``grouplike_group``.  Checks that ε is a member and the
-    neutral element, closure, and that χ∘S is the two-sided inverse of χ.
-    Returns (table, report); table[i][j] is the index of χ_i ∗ χ_j.
+    A character χ is a grouplike χᵀ of the dual Hopf algebra
+    H* = (mᵀ, uᵀ, Δᵀ, εᵀ, Sᵀ), whose product is convolution and whose unit
+    is ε; so this is ``_group_report`` on H*.  Returns (table, report);
+    table[i][j] is the index of χ_i ∗ χ_j.
     """
     b = H.bialgebra
-    report = Report()
-    eps = b.eps
-    eps_idx = _last_index(chars, eps)
-    report.add(Check("counit_is_member", eps_idx is not None, "missing"))
-    table, closure_ok = _group_table(
-        chars, lambda x, y: convolve_functionals(x, y, b.coalgebra))
-    report.add(Check("character_closure", closure_ok, "escapes"))
-    identity_ok = all(table[eps_idx][j] == j and table[j][eps_idx] == j
-                      for j in range(len(chars))) if eps_idx is not None else False
-    report.add(Check("counit_is_identity", identity_ok, "not neutral"))
-    invs = [chi @ H.antipode for chi in chars]
-    inverse_ok = all(convolve_functionals(chi, inv, b.coalgebra) == eps
-                     and convolve_functionals(inv, chi, b.coalgebra) == eps
-                     for chi, inv in zip(chars, invs))
-    report.add(Check("antipode_gives_inverse", inverse_ok, "not inverse"))
-    return table, report
+    dual = HopfData(BialgebraData(_transposed(b.algebra),
+                                  AlgebraData(H.dim, b.delta.transpose(), b.eps.transpose())),
+                    H.antipode.transpose())
+    return _group_report(dual, [chi.transpose() for chi in chars],
+                         ("counit_is_member", "character_closure", "antipode_gives_inverse"))
 
 
 def enumerate_linear_maps(field, rows: int, cols: int):

@@ -53,9 +53,9 @@ Odlyzko, CRYPTO 1990).  ``rref`` is a thin dense wrapper over it: all
 ``SubspaceBasis`` and ``kernel_basis`` take sparse rows and keep them
 sparse: a subspace is the RREF rows the elimination returns, and
 ``quotient`` reads the free entries of each from its dict.  So a large
-system with a few nonzeros per row, such as the coend relations and the
-naturality equations of ``coend``, is never held dense; only ``Matrix``
-is.
+system with a few nonzeros per row, such as the coend relations of
+``coend`` (whose kernel is Nat(F, G)), is never held dense; only
+``Matrix`` is.
 """
 
 from itertools import chain

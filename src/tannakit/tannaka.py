@@ -28,7 +28,8 @@ checks the coalgebra laws only when ρ̃ is not injective: an injective ρ̃
 that respects Δ and ε carries B's laws back to End^∨.  Comodule maps are
 natural transformations, since block b of ρ₂∘f = (id⊗f)∘ρ₁ is
 ρ₂_b∘f = f∘ρ₁_b, so ``comodule_morphism_space`` is ``coend.nat_space``
-on one object with one generator per basis vector of the coalgebra.
+for fᵀ on one object with one generator per basis vector of the
+coalgebra.
 """
 
 from .catpres import (FiberFunctor, Generator, PresentedCategory,
@@ -226,12 +227,13 @@ def intertwines_all(f: Matrix, com1: ComoduleData, com2: ComoduleData,
 
 
 def comodule_morphism_space(com1: ComoduleData, com2: ComoduleData):
-    """Basis of { f : ρ₂∘f = (id⊗f)∘ρ₁ }, in RREF of f's entries.
+    """Basis of { f : ρ₂∘f = (id⊗f)∘ρ₁ }, in RREF of f's row-major entries.
 
     Block b of the law is ρ₂_b∘f = f∘ρ₁_b, with ρ_b the b-th block row of
-    ρ, so the comodule maps are the natural transformations between two
-    functors on one object with a generator per basis vector of B, sent
-    to ρ₁_b and ρ₂_b.
+    ρ; transposed, fᵀ∘ρ₂_bᵀ = ρ₁_bᵀ∘fᵀ.  So fᵀ is a natural
+    transformation between two functors on one object with a generator
+    per basis vector of B, sent to ρ₂_bᵀ and ρ₁_bᵀ, and its entry f[i][j]
+    is the ambient index i·d₁ + j of that system.
     """
     if com1.coalgebra_dim != com2.coalgebra_dim:
         raise ValueError("comodules over different coalgebras")
@@ -241,11 +243,11 @@ def comodule_morphism_space(com1: ComoduleData, com2: ComoduleData):
     def block_rows(com):
         d = com.space_dim
         return FiberFunctor(com.field, {"*": d},
-                            {str(b): com.rho.select_rows(range(b * d, (b + 1) * d))
+                            {str(b): com.rho.select_rows(range(b * d, (b + 1) * d)).transpose()
                              for b in blocks})
 
-    return [family["*"] for family
-            in nat_space(cat, block_rows(com1), block_rows(com2)).basis]
+    return [family["*"].transpose() for family
+            in nat_space(cat, block_rows(com2), block_rows(com1)).basis]
 
 
 def morphism_image_span(cat, F, src, dst):

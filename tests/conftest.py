@@ -189,6 +189,42 @@ def dense_comodule_maps(com1, com2):
             for vec in kernel]
 
 
+def dense_nat_space(cat, F, G):
+    """Basis of Nat(F, G) from one dense system θ_{C'}∘F(f) = G(f)∘θ_C in
+    the entries of the θ_C (row-major, block after block in object
+    order), one equation per generator f: C → C' and entry of the square.
+
+    The reference that ``coend.nat_space`` is checked against; returns
+    the families (object ↦ G-dim × F-dim matrix) of the kernel basis.
+    """
+    field = F.field
+    offs, total = {}, 0
+    for obj in cat.objects:
+        offs[obj] = total
+        total += G.dim(obj) * F.dim(obj)
+    rows = []
+    for g in cat.generators:
+        fm, gm = F.gen_matrix(g.name), G.gen_matrix(g.name)
+        fd_src, fd_dst = F.dim(g.src), F.dim(g.dst)
+        for a in range(G.dim(g.dst)):
+            for b in range(fd_src):
+                row = [field.zero()] * total
+                # (θ_{C'} F(f))[a, b] = Σ_l θ_{C'}[a, l] F(f)[l, b]
+                for l in range(fd_dst):
+                    pos = offs[g.dst] + a * fd_dst + l
+                    row[pos] = field.add(row[pos], fm.data[l][b])
+                # −(G(f) θ_C)[a, b] = −Σ_k G(f)[a, k] θ_C[k, b]
+                for k in range(G.dim(g.src)):
+                    pos = offs[g.src] + k * fd_src + b
+                    row[pos] = field.sub(row[pos], gm.data[a][k])
+                rows.append(row)
+    kernel, _ = dense_kernel(Matrix(field, rows, cols=total))
+    return [{obj: Matrix(field, [vec[offs[obj] + r * F.dim(obj):
+                                     offs[obj] + (r + 1) * F.dim(obj)]
+                                 for r in range(G.dim(obj))], cols=F.dim(obj))
+             for obj in cat.objects} for vec in kernel]
+
+
 def relation_vectors(cat, F, G):
     """``(ambient, vectors)``: the coend relations of every generator
     f: C → C' and basis pair (i, j), as dense lists of length ``ambient``.

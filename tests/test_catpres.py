@@ -513,3 +513,15 @@ def test_unit_diagrams_imply_the_associativity_squares_with_the_unit(p):
             rhs = T.s_map(a, T.obj(b, c)) @ kron(ida, T.s_map(b, c))
             assert lhs == rhs
     assert kept >= 30 and failing > 0
+
+
+def test_duality_dims_fails_a_dual_of_another_dimension():
+    # F(sigma) = 2 while its declared dual one has F(one) = 1: sigma fails
+    # before any triangle is evaluated, and one keeps both triangles
+    doc = load_fixture("z2_character")
+    F = FiberFunctor(QQ, {"one": 1, "sigma": 2}, {})
+    doc.duality.dual_of["sigma"] = "one"
+    report = validate_duality_data(doc.category, F, doc.tensor, doc.duality)
+    assert [(c.name, c.passed, c.residue) for c in report.checks] == [
+        ("triangle_1:one", True, "0"), ("triangle_2:one", True, "0"),
+        ("duality_dims:sigma", False, "shape")]

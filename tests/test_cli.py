@@ -470,8 +470,9 @@ def test_cyclic_jobs_allocate_at_most_ambient_squared(tmp_path, monkeypatch):
 
 
 def test_nat_allocates_no_ambient_square(tmp_path, monkeypatch):
-    # the relation and naturality systems are eliminated as sparse rows,
-    # so the largest matrix nat builds is a λ or a projection
+    # the relation rows are eliminated as sparse rows, for the quotient
+    # and for its kernel, so the largest matrix nat builds is a λ or a
+    # projection
     n = 5
     ambient_dim = n * n
     path = tmp_path / "cyclic5.json"
@@ -663,6 +664,16 @@ def test_bare_empty_relation_side_is_the_identity_at_the_other_side():
     doc["relations"][0][1] = []
     assert (run_cli(["nat", "--json"], json.dumps(doc))
             == run_cli(["nat", "--fixture", "z2_regular", "--json"]))
+
+
+def test_bare_empty_relation_left_side_is_the_identity_at_the_right_side():
+    doc = json.loads(load_fixture_text("z2_regular"))
+    doc["relations"] = [[[], ["g", "g"]]]
+    bare = run_cli(["reconstruct", "--json"], json.dumps(doc))
+    doc["relations"] = [[{"at": "star"}, ["g", "g"]]]
+    assert bare == run_cli(["reconstruct", "--json"], json.dumps(doc))
+    assert bare[0] == 0
+    assert "relation:0:id_star=g.g" in [c["name"] for c in json.loads(bare[1])["checks"]]
 
 
 def _symmetry_with_wrong_endpoints(doc):

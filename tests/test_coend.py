@@ -4,14 +4,14 @@ import pytest
 
 from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
                       QQ, VerificationError, cocomposition, counit, kron,
-                      nat_space, natvee, pairing_bijection_report, rref,
-                      standard_pairing)
+                      load_document, nat_space, natvee, pairing_bijection_report,
+                      rref, standard_pairing)
 from tannakit.catpres import path_eval
 from tannakit.coend import coevaluation, nat_to_pairing, pairing_to_nat
 from tannakit.linalg import SubspaceBasis, inverse
 
-from conftest import (kills_relations, load_fixture, rand_invertible, rand_matrix,
-                      relation_vectors)
+from conftest import (FIXTURES, cyclic_document, dense_nat_space, kills_relations,
+                      load_fixture, rand_invertible, rand_matrix, relation_vectors)
 
 
 def single_object(dim, rng=None, gens=0):
@@ -175,26 +175,67 @@ def test_pairing_to_nat_lands_in_nat_space():
         assert theta @ swap == swap @ theta
 
 
+def random_presentation(rng):
+    """A random category of 1–3 objects and 0–4 generators, with two
+    functors F ≠ G of random dimensions and random generator images."""
+    objs = ["o%d" % i for i in range(rng.randint(1, 3))]
+    gens = []
+    for i in range(rng.randint(0, 4)):
+        gens.append(Generator("f%d" % i, rng.choice(objs), rng.choice(objs)))
+    cat = PresentedCategory(objs, gens)
+    dims_f = {o: rng.randint(1, 3) for o in objs}
+    dims_g = {o: rng.randint(1, 3) for o in objs}
+    F = FiberFunctor(QQ, dims_f,
+                     {g.name: rand_matrix(rng, QQ, dims_f[g.dst], dims_f[g.src])
+                      for g in gens})
+    G = FiberFunctor(QQ, dims_g,
+                     {g.name: rand_matrix(rng, QQ, dims_g[g.dst], dims_g[g.src])
+                      for g in gens})
+    return cat, F, G
+
+
 def test_dimension_duality_random_relation_free(rng):
     for _ in range(15):
-        n_obj = rng.randint(1, 3)
-        objs = ["o%d" % i for i in range(n_obj)]
-        gens = []
-        for i in range(rng.randint(0, 4)):
-            gens.append(Generator("f%d" % i, rng.choice(objs), rng.choice(objs)))
-        cat = PresentedCategory(objs, gens)
-        dims_f = {o: rng.randint(1, 3) for o in objs}
-        dims_g = {o: rng.randint(1, 3) for o in objs}
-        F = FiberFunctor(QQ, dims_f,
-                         {g.name: rand_matrix(rng, QQ, dims_f[g.dst], dims_f[g.src])
-                          for g in gens})
-        G = FiberFunctor(QQ, dims_g,
-                         {g.name: rand_matrix(rng, QQ, dims_g[g.dst], dims_g[g.src])
-                          for g in gens})
+        cat, F, G = random_presentation(rng)
         P = natvee(cat, F, G)
         N = nat_space(cat, F, G)
         assert P.quotient_dim == N.dim
         assert pairing_bijection_report(P, N).passed
+
+
+def assert_nat_space_matches_dense_system(cat, F, G):
+    """``nat_space`` spans the solutions of the dense naturality system;
+    the two bases differ in order, so their spans are compared, each
+    family flattened to the row-major entries of its θ_C in object order."""
+    width = sum(F.dim(obj) * G.dim(obj) for obj in cat.objects)
+
+    def span(families):
+        return SubspaceBasis(F.field, width, [
+            dict(enumerate(x for obj in cat.objects for x in fam[obj].entries()))
+            for fam in families])
+
+    N = nat_space(cat, F, G)
+    dense = dense_nat_space(cat, F, G)
+    assert N.dim == len(dense)
+    assert span(N.basis) == span(dense)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_nat_space_matches_dense_system_on_fixtures(name):
+    doc = load_fixture(name)
+    assert_nat_space_matches_dense_system(doc.category, doc.functor, doc.functor)
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_nat_space_matches_dense_system_on_cyclic(n, p):
+    doc = load_document(cyclic_document(n, p, diag=list(range(1, n + 1))))
+    assert_nat_space_matches_dense_system(doc.category, doc.functor, doc.functor)
+
+
+def test_nat_space_matches_dense_system_random(rng):
+    for _ in range(15):
+        assert_nat_space_matches_dense_system(*random_presentation(rng))
 
 
 # -- coevaluation, cocomposition, counit --------------------------------

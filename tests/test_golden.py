@@ -20,8 +20,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 # Z/6 on its regular representation by the shift conjugated by a fixed
 # monomial matrix, so that over Q the entries have denominators; the
-# ambient space of End^∨ has dimension 36, and the relation and
-# naturality systems are 36×36, so elimination is real
+# ambient space of End^∨ has dimension 36, and the relation system,
+# whose kernel is Nat, is 36×36, so elimination is real
 CYCLIC_N = 6
 CYCLIC_PERM = [3, 0, 5, 1, 4, 2]
 CYCLIC_DIAG = [2, -3, 1, 3, -1, -2]
