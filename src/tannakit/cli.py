@@ -29,7 +29,7 @@ from importlib import resources
 
 from .catpres import (load_document, validate_duality_data, validate_functor,
                       validate_tensor_data)
-from .coend import nat_space, natvee, pairing_bijection_report
+from .coend import _nat_of, natvee, pairing_bijection_report
 from .fields import InputError
 from .hopf import (CoalgebraData, ComoduleData, UnsupportedCoalgebraError,
                    characters, convolution_group, grouplike_group, grouplikes)
@@ -56,7 +56,7 @@ def load_fixture_text(name: str) -> str:
     path = resources.files("tannakit") / "fixtures" / (name + ".json")
     try:
         return path.read_text()
-    except FileNotFoundError:
+    except (FileNotFoundError, ValueError):     # ValueError: a NUL in the name
         raise InputError("unknown fixture %r; available: %s"
                          % (name, ", ".join(fixture_names()))) from None
 
@@ -71,7 +71,7 @@ def _read_document(args):
                     text = fh.read()
             else:
                 text = sys.stdin.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # undecodable, or a NUL in the path
             raise InputError("cannot read input: %s" % exc) from None
     try:
         raw = json.loads(text)
@@ -255,7 +255,7 @@ def cmd_nat(args):
     if not report.passed:
         return _emit({}, report, args.json)
     P = natvee(doc.category, doc.functor, doc.functor)
-    N = nat_space(doc.category, doc.functor, doc.functor)
+    N = _nat_of(P)
     report.add(Check("predual_dimension_identity", P.quotient_dim == N.dim,
                      "%d vs %d" % (P.quotient_dim, N.dim)))
     report.extend(pairing_bijection_report(P, N))

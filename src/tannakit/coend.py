@@ -14,14 +14,16 @@ presentation builds them as sparse rows and hands them to
 them as they are, and only the projection and the maps out of the
 quotient are dense ``Matrix`` values.
 
-``nat_space`` computes Nat(F, G), the dual of Nat^∨(F, G), as the kernel
-of the same relation rows: a functional on the ambient sum that kills
-them is a natural family, θ_C = curry of its block at C.  One helper,
-``_natural_family``, reads θ off an ambient functional, for a kernel
-vector and for ``pairing_to_nat``'s ξ∘proj alike.  The pairing between
-the two is the tensor–hom adjunction: ``pairing_to_nat`` curries ξ∘λ_C
-and ``nat_to_pairing`` uncurries θ_C (``linalg.curry``/``uncurry``), and
-the coevaluation η_C is curry(λ_C).
+Only the presentation eliminates the relations.  ``nat_space`` reads
+Nat(F, G), the dual of Nat^∨(F, G), off it as the row space of ``proj``,
+whose row c is e_c − Σ_p rel_p[c]·e_p, the kernel vector of the relation
+echelon at the free column c: a functional on the ambient sum that kills
+the relations is a natural family, θ_C = curry of its block at C.  One
+helper, ``_natural_family``, reads θ off an ambient functional, for a
+row of ``proj`` and for ``pairing_to_nat``'s ξ∘proj alike.  The pairing
+between the two is the tensor–hom adjunction: ``pairing_to_nat`` curries
+ξ∘λ_C and ``nat_to_pairing`` uncurries θ_C (``linalg.curry``/``uncurry``),
+and the coevaluation η_C is curry(λ_C).
 
 Every map out of the quotient that is defined blockwise on the ambient
 sum descends through one path, ``CoendPresentation.push_to_quotient``:
@@ -35,8 +37,7 @@ middle index, so Δ never builds a Kronecker product.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
-from .linalg import (Matrix, SubspaceBasis, curry, kernel_basis, kron, quotient,
-                     rref, uncurry)
+from .linalg import Matrix, SubspaceBasis, curry, kron, quotient, rref, uncurry
 from .moncat import standard_pairing
 from .report import Check, Report, VerificationError
 
@@ -54,7 +55,10 @@ class CoendPresentation:
         self.G = G
         self.object_index = [(obj, F.dim(obj), G.dim(obj)) for obj in category.objects]
         self._block_dims = {obj: (fd, gd) for obj, fd, gd in self.object_index}
-        self.offsets, self.ambient_dim = _block_offsets(category, F, G)
+        self.offsets, self.ambient_dim = {}, 0
+        for obj, fd, gd in self.object_index:
+            self.offsets[obj] = self.ambient_dim
+            self.ambient_dim += fd * gd
         self.relation_span = SubspaceBasis(
             self.field, self.ambient_dim, _relation_rows(category, F, G, self.offsets))
         self.proj, self.free = quotient(self.ambient_dim, self.relation_span)
@@ -110,17 +114,6 @@ class CoendPresentation:
         return candidate
 
 
-def _block_offsets(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor):
-    """``(offsets, total)`` of the blocks of dim F(C)·G(C), one per object,
-    in the coend's ambient sum."""
-    offsets = {}
-    total = 0
-    for obj in cat.objects:
-        offsets[obj] = total
-        total += F.dim(obj) * G.dim(obj)
-    return offsets, total
-
-
 def _relation_rows(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor, offs):
     """One coend relation per generator f: C→C' and basis pair (i, j), as
     a sparse row ``{ambient index: value}``, with the blocks at ``offs``."""
@@ -166,26 +159,27 @@ class EndSpace:
 
 
 def nat_space(cat: PresentedCategory, F: FiberFunctor, G: FiberFunctor) -> EndSpace:
-    """Nat(F, G) as the kernel of the coend relations.
+    """Nat(F, G), read off Nat^∨(F, G) = ``natvee(cat, F, G)`` by ``_nat_of``."""
+    return _nat_of(natvee(cat, F, G))
 
-    A kernel vector v is a functional on ⊕_C F(C)⊗G(C)^∨, and the relation
-    of (f: C→C', i, j) paired with v is (G(f)∘θ_C − θ_{C'}∘F(f))[j, i] for
-    θ = ``_natural_family`` of v; so the kernel is the natural families.
-    """
-    field = F.field
-    offs, total = _block_offsets(cat, F, G)
-    index = [(obj, F.dim(obj), G.dim(obj)) for obj in cat.objects]
-    kernel = kernel_basis(_relation_rows(cat, F, G, offs), field, total)
-    return EndSpace([_natural_family(index, offs, Matrix.from_rows(field, [v], total))
+
+def _nat_of(P: CoendPresentation) -> EndSpace:
+    """Nat(F, G) as the row space of P's projection, in RREF: the kernel of
+    the relations.  The relation of (f: C→C', i, j) paired with a kernel
+    vector v is (G(f)∘θ_C − θ_{C'}∘F(f))[j, i] for θ = ``_natural_family``
+    of v, so the kernel is the natural families."""
+    kernel = SubspaceBasis(P.field, P.ambient_dim, P.proj.sparse_rows())
+    return EndSpace([_natural_family(P, Matrix.from_rows(P.field, [v], P.ambient_dim))
                      for v in kernel.rows])
 
 
-def _natural_family(index, offsets, functional: Matrix) -> dict:
-    """θ_C = curry of the block at C of a functional on ⊕_C F(C)⊗G(C)^∨,
-    for each (C, dim F(C), dim G(C)) in ``index``."""
-    return {obj: curry(functional.select_cols(range(offsets[obj], offsets[obj] + fd * gd)),
-                       fd, gd)
-            for obj, fd, gd in index}
+def _natural_family(P: CoendPresentation, functional: Matrix) -> dict:
+    """θ_C = curry of the block at C of a functional on ⊕_C F(C)⊗G(C)^∨."""
+    family = {}
+    for obj, fd, gd in P.object_index:
+        off = P.offsets[obj]
+        family[obj] = curry(functional.select_cols(range(off, off + fd * gd)), fd, gd)
+    return family
 
 
 def pairing_to_nat(P: CoendPresentation, xi: Matrix) -> dict:
@@ -193,7 +187,7 @@ def pairing_to_nat(P: CoendPresentation, xi: Matrix) -> dict:
     the family of the functional ξ∘proj on the ambient sum."""
     if xi.rows != 1 or xi.cols != P.quotient_dim:
         raise ValueError("functional must be 1 x quotient_dim")
-    return _natural_family(P.object_index, P.offsets, xi @ P.proj)
+    return _natural_family(P, xi @ P.proj)
 
 
 def nat_to_pairing(P: CoendPresentation, family: dict) -> Matrix:

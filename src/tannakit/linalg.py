@@ -52,10 +52,11 @@ Odlyzko, CRYPTO 1990).  ``rref`` is a thin dense wrapper over it: all
 ``m.rows`` rows, the canonical echelon, its pivots and rank.
 ``SubspaceBasis`` and ``kernel_basis`` take sparse rows and keep them
 sparse: a subspace is the RREF rows the elimination returns, and
-``quotient`` reads the free entries of each from its dict.  So a large
-system with a few nonzeros per row, such as the coend relations of
-``coend`` (whose kernel is Nat(F, G)), is never held dense; only
-``Matrix`` is.
+``_kernel_rows`` reads the free entries of each from its dict to write
+the kernel vectors e_c − Σ_p row_p[c]·e_p of an echelon, which are the
+rows of ``quotient``'s projection and, in RREF, ``kernel_basis``.  So
+the coend relations of ``coend``, a large system with a few nonzeros
+per row, are never held dense; only ``Matrix`` is.
 """
 
 from itertools import chain
@@ -451,20 +452,24 @@ class SubspaceBasis:
         return "SubspaceBasis(dim %d of K^%d)" % (self.dim, self.ambient_dim)
 
 
-def kernel_basis(rows, field, cols) -> SubspaceBasis:
-    """Basis of { v : f v = 0 } for f given by sparse rows ``{col: value}``
-    over ``field`` with ``cols`` columns; dimension = cols − rank(f).
-
-    Each free column c gives the kernel vector e_c − Σ_p row_p[c]·e_p over
-    the pivot rows; the basis is returned in RREF.
-    """
-    pivot_rows = _eliminate(field, _sparse_rows(cols, rows))
+def _kernel_rows(field, width, pivot_rows):
+    """The kernel vectors of the echelon ``{pivot column: row}`` in K^width:
+    for each free column c, in increasing order, e_c − Σ_p row_p[c]·e_p
+    as a sparse row.  Returns ``{c: vector}``."""
     one = field.one()
-    kernel = {c: {c: one} for c in range(cols) if c not in pivot_rows}
+    kernel = {c: {c: one} for c in range(width) if c not in pivot_rows}
     for p, row in pivot_rows.items():
         for c, x in row.items():
             if c != p:
                 kernel[c][p] = field.neg(x)
+    return kernel
+
+
+def kernel_basis(rows, field, cols) -> SubspaceBasis:
+    """Basis of { v : f v = 0 } for f given by sparse rows ``{col: value}``
+    over ``field`` with ``cols`` columns, dimension cols − rank(f): the
+    ``_kernel_rows`` of f's echelon, in RREF."""
+    kernel = _kernel_rows(field, cols, _eliminate(field, _sparse_rows(cols, rows)))
     return SubspaceBasis(field, cols, list(kernel.values()))
 
 
@@ -504,16 +509,8 @@ def quotient(ambient_dim: int, relations: SubspaceBasis):
     """
     if relations.ambient_dim != ambient_dim:
         raise ValueError("relations live in the wrong ambient space")
+    # row c of proj is the kernel vector of the free column c
     field = relations.field
-    pivots = relations.pivots()
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    position = {c: k for k, c in enumerate(free)}
-    one = field.one()
-    rows = [{c: one} for c in free]
-    for rel, p in zip(relations.rows, pivots):
-        # e_p ≡ -Σ_{free n} rel[n]·e_n modulo the relations
-        for n, x in rel.items():
-            if n != p:
-                rows[position[n]][p] = field.neg(x)
-    return Matrix.from_rows(field, rows, ambient_dim), free
+    pivot_rows = dict(zip(relations.pivots(), relations.rows))
+    kernel = _kernel_rows(field, ambient_dim, pivot_rows)
+    return Matrix.from_rows(field, list(kernel.values()), ambient_dim), tuple(kernel)

@@ -29,7 +29,7 @@ that respects Δ and ε carries B's laws back to End^∨.  Comodule maps are
 natural transformations, since block b of ρ₂∘f = (id⊗f)∘ρ₁ is
 ρ₂_b∘f = f∘ρ₁_b, so ``comodule_morphism_space`` is ``coend.nat_space``
 for fᵀ on one object with one generator per basis vector of the
-coalgebra.
+coalgebra, read off the projection of that category's Nat^∨.
 """
 
 from .catpres import (FiberFunctor, Generator, PresentedCategory,

@@ -314,6 +314,16 @@ def test_unreadable_input_is_rejected(tmp_path):
     rejected("validate", "--input", str(undecodable))
 
 
+@pytest.mark.parametrize("flag, prefix", [
+    ("--input", "cannot read input: "),
+    ("--fixture", "unknown fixture 'a\\x00b'; available: ")])
+def test_nul_in_a_path_is_rejected(flag, prefix):
+    # only an in-process caller can pass a NUL; open() raises ValueError on it
+    code, out, _ = run_cli(["nat", flag, "a\x00b", "--json"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith(prefix)
+
+
 def test_deeply_nested_json_is_rejected():
     assert (rejected("validate", stdin="[" * 100000 + "]" * 100000)
             == "input JSON nests too deeply to decode")

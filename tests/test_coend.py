@@ -6,12 +6,14 @@ from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
                       QQ, VerificationError, cocomposition, counit, kron,
                       load_document, nat_space, natvee, pairing_bijection_report,
                       rref, standard_pairing)
+from tannakit import coend
 from tannakit.catpres import path_eval
 from tannakit.coend import coevaluation, nat_to_pairing, pairing_to_nat
 from tannakit.linalg import SubspaceBasis, inverse
 
 from conftest import (FIXTURES, cyclic_document, dense_nat_space, kills_relations,
-                      load_fixture, rand_invertible, rand_matrix, relation_vectors)
+                      load_fixture, rand_invertible, rand_matrix, relation_vectors,
+                      run_cli)
 
 
 def single_object(dim, rng=None, gens=0):
@@ -129,6 +131,24 @@ def test_nat_space_zero_target():
     assert nat_space(cat, F, G).dim == 0
     P = natvee(cat, F, G)
     assert P.quotient_dim == 0
+
+
+def test_relations_are_built_once(monkeypatch):
+    """``nat`` and ``nat_space`` read Nat(F, G) off the one presentation of
+    Nat^∨(F, G), so each builds the coend relation rows once."""
+    built = []
+    relation_rows = coend._relation_rows
+
+    def counting(*args):
+        built.append(args)
+        return relation_rows(*args)
+
+    monkeypatch.setattr(coend, "_relation_rows", counting)
+    code, _, _ = run_cli(["nat", "--fixture", "z2_regular", "--json"])
+    assert (code, len(built)) == (0, 1)
+    doc = load_fixture("z2_regular")
+    assert nat_space(doc.category, doc.functor, doc.functor).dim == 2
+    assert len(built) == 2
 
 
 def test_pairing_counit_gives_identity():

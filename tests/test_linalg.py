@@ -488,6 +488,21 @@ def test_quotient_kernel_is_relations(rng):
         assert proj.codomain_dim == 6 - rel.dim
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_quotient_rows_span_the_kernel(rng, field):
+    """The rows of ``quotient``'s projection are the kernel vectors of the
+    relation echelon, so their RREF is ``kernel_basis`` of the relations:
+    ``coend`` reads Nat(F, G) off the projection of Nat^∨(F, G) this way."""
+    systems = relation_shaped(field, rng) + [Matrix.zeros(field, 0, 5)]
+    systems += [rand_sparse_matrix(rng, field, rows, cols, 0.3, denom=True)
+                for rows, cols in [(3, 8), (8, 3), (6, 6), (12, 9)]]
+    for m in systems:
+        rows = sparse_rows(m)
+        proj, _ = quotient(m.cols, SubspaceBasis(field, m.cols, rows))
+        assert (SubspaceBasis(field, m.cols, proj.sparse_rows())
+                == kernel_basis(rows, field, m.cols))
+
+
 def test_solve_and_image():
     a = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
     x = solve_matrix(a, Matrix.from_ints(QQ, [[5], [11]]))
