@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from .catpres import (load_document, validate_duality_data, validate_functor,
                       validate_tensor_data)
@@ -48,11 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def fixture_names():
+    from importlib import resources     # here: a run without --fixture skips its import
     root = resources.files("tannakit") / "fixtures"
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def load_fixture_text(name: str) -> str:
+    from importlib import resources     # here: a run without --fixture skips its import
     path = resources.files("tannakit") / "fixtures" / (name + ".json")
     try:
         return path.read_text()

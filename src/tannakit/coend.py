@@ -37,7 +37,8 @@ middle index, so Δ never builds a Kronecker product.
 """
 
 from .catpres import FiberFunctor, PresentedCategory
-from .linalg import Matrix, SubspaceBasis, curry, kron, quotient, rref, uncurry
+from .linalg import (Matrix, SubspaceBasis, curry, kron, quotient,
+                     refuse_oversized, rref, uncurry)
 from .moncat import standard_pairing
 from .report import Check, Report, VerificationError
 
@@ -226,6 +227,7 @@ def cocomposition(P_FG: CoendPresentation, P_GH: CoendPresentation,
     add, mul = field.add, field.mul
     zero = field.zero()
     q_gh = P_GH.quotient_dim
+    refuse_oversized(P_FG.quotient_dim * q_gh, P_FH.ambient_dim)
     rows = [{} for _ in range(P_FG.quotient_dim * q_gh)]
     for obj, _, hd in P_FH.object_index:
         gd = P_FG.block_dims(obj)[1]

@@ -21,6 +21,15 @@ selections, ``curry``, ``uncurry``, products, the augmented system of
 ``solve_matrix``) takes them as they are, through the one private
 constructor ``Matrix._adopt``.
 
+A dense matrix holds at most ``MAX_DENSE_ENTRIES`` entries.
+``Matrix.zeros``, the allocator behind ``identity``, ``from_rows``, ``@``,
+``kron`` and ``kron_apply``, refuses a larger one through
+``refuse_oversized`` with an ``InputError`` sourced ``document``, before
+anything is allocated.  ``quotient`` asks the same of its projection
+before it writes the kernel rows, and ``coend.cocomposition`` of Δ's
+ambient map before it allocates its rows, since their count alone can
+exhaust memory.
+
 The kernels (``sparse_rows``, ``sparse_cols``, ``@``, ``kron``,
 ``kron_apply`` and the elimination) test a scalar by the rule of
 ``fields``: ``not x`` for zero and ``x == 1`` for one, never ``x !=
@@ -61,7 +70,20 @@ per row, are never held dense; only ``Matrix`` is.
 
 from itertools import chain
 
-from .fields import Field
+from .fields import Field, InputError
+
+# The most entries one dense Matrix may hold.  Schur–Weyl (2, 4) over F_101
+# peaks at 24 010 000 and finishes; a larger matrix is refused as an input
+# too large, before it is allocated, not left to run out of memory.
+MAX_DENSE_ENTRIES = 1 << 25
+
+
+def refuse_oversized(rows, cols):
+    """Raise a ``document`` InputError if a dense rows × cols matrix would
+    hold more than ``MAX_DENSE_ENTRIES`` entries."""
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise InputError("a %d x %d matrix exceeds the limit of %d dense "
+                         "entries" % (rows, cols, MAX_DENSE_ENTRIES), "document")
 
 
 class Matrix:
@@ -99,6 +121,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
+        refuse_oversized(rows, cols)
         z = field.zero()
         return cls._adopt(field, [[z] * cols for _ in range(rows)], cols)
 
@@ -511,6 +534,7 @@ def quotient(ambient_dim: int, relations: SubspaceBasis):
         raise ValueError("relations live in the wrong ambient space")
     # row c of proj is the kernel vector of the free column c
     field = relations.field
+    refuse_oversized(ambient_dim - len(relations.rows), ambient_dim)
     pivot_rows = dict(zip(relations.pivots(), relations.rows))
     kernel = _kernel_rows(field, ambient_dim, pivot_rows)
     return Matrix.from_rows(field, list(kernel.values()), ambient_dim), tuple(kernel)

@@ -80,15 +80,15 @@ class VerificationError(Exception):
 def check_equal(name: str, lhs: Matrix, rhs: Matrix) -> Check:
     """Exact matrix identity check.
 
-    The residue is read off the two sides: the first entry of largest
-    ``field.abs_key`` among the entries of lhs − rhs in row-major order,
-    and the check passes when that entry is zero.
+    The residue is read off the two sides by ``field.max_difference``:
+    the first entry of largest norm (|x| over Q, the residue in [0, p)
+    over F_p) among the entries of lhs − rhs in row-major order.  Every
+    entry is read, and the check passes when that entry is zero.
     """
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         return Check(name, False, "shape",
                      detail={"lhs_shape": [lhs.rows, lhs.cols],
                              "rhs_shape": [rhs.rows, rhs.cols]})
     field = lhs.field
-    worst = max(map(field.sub, lhs.entries(), rhs.entries()),
-                key=field.abs_key, default=None)
+    worst = field.max_difference(lhs.entries(), rhs.entries())
     return Check(name, not worst, field.format(worst) if worst else None)

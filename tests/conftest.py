@@ -477,6 +477,19 @@ def random_z2_graded_document(rng, p=None):
     return doc
 
 
+def dense_residue(lhs, rhs):
+    """The first of ``field.sub(a, b)`` over the row-major pairs of entries
+    of lhs and rhs with the largest norm, |x| over Q and the residue in
+    [0, p) over GF(p), or None when both sides are empty.
+
+    The reference that ``report.check_equal``'s residue, read by
+    ``Field.max_difference``, is checked against.
+    """
+    field = lhs.field
+    norm = abs if field == QQ else (lambda x: x % field.p)
+    return max(map(field.sub, lhs.entries(), rhs.entries()), key=norm, default=None)
+
+
 def rand_sparse_matrix(rng, field, rows, cols, density=0.3, denom=False):
     """A random matrix with about ``density`` of its entries nonzero."""
     m = rand_matrix(rng, field, rows, cols, denom=denom)

@@ -12,11 +12,13 @@ import tannakit
 from tannakit import Matrix
 from tannakit import cli, coend, hopf
 from tannakit.cli import load_fixture_text, main
-from tannakit.fields import GF, QQ
+from tannakit.fields import GF, QQ, InputError
+from tannakit.linalg import MAX_DENSE_ENTRIES, refuse_oversized
 from tannakit.report import Check, check_equal
 
 from conftest import (DOCUMENT_COMMANDS, FIXTURES, cyclic_document,
-                      graded_document, run_cli)
+                      dense_residue, graded_document, rand_matrix,
+                      rand_sparse_matrix, run_cli)
 
 BROKEN_DOC = {
     "field": "Q",
@@ -300,9 +302,48 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_importlib_resources_is_imported_only_when_a_fixture_is_read():
+    # -S: no site hook, which would import importlib.resources itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tannakit.__file__))
+    code = ("import sys, tannakit.cli\n"
+            "print('importlib.resources' in sys.modules)\n"
+            "code = tannakit.cli.main(['validate', '--fixture', 'trivial', '--json'])\n"
+            "print(code, 'importlib.resources' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (lines[0], lines[-1]) == ("False", "0 True")
+    assert '"passed": true' in proc.stdout
+
+
 def test_unknown_fixture_errors():
     message = rejected("validate", "--fixture", "no_such_fixture")
     assert message.startswith("unknown fixture 'no_such_fixture'; available: ")
+
+
+@pytest.mark.parametrize("dim", [100, 10**6])
+@pytest.mark.parametrize("command", ["nat", "lift", "reconstruct"])
+def test_an_oversized_dense_matrix_is_refused_before_it_is_allocated(command, dim):
+    # one object of dimension d has a d² × d² coend projection
+    doc = {"objects": ["a"], "functor": {"on_objects": {"a": dim}}}
+    start = time.perf_counter()
+    code, out, err = run_cli([command, "--json"], json.dumps(doc))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, "")
+    error = json.loads(out)["error"]
+    assert error["source"] == "document"
+    assert "exceeds the limit of %d dense entries" % MAX_DENSE_ENTRIES \
+        in error["message"]
+
+
+def test_the_dense_limit_lies_between_schur_weyl_2_4_and_3_3():
+    assert 24_010_000 <= MAX_DENSE_ENTRIES < 48_400 * 820
+    refuse_oversized(1, MAX_DENSE_ENTRIES)
+    with pytest.raises(InputError) as info:
+        Matrix.zeros(QQ, 2, MAX_DENSE_ENTRIES // 2 + 1)
+    assert info.value.source == "document"
 
 
 def test_unreadable_input_is_rejected(tmp_path):
@@ -543,6 +584,49 @@ def test_check_equal_on_empty_and_mismatched_shapes():
     check = check_equal("law", Matrix.identity(QQ, 2), Matrix.zeros(QQ, 2, 3))
     assert check.to_json() == {"name": "law", "passed": False, "residue": "shape",
                                "detail": {"lhs_shape": [2, 2], "rhs_shape": [2, 3]}}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(2**61 - 1)],
+                         ids=["Q", "F2", "F101", "F2^61-1"])
+def test_check_equal_reads_the_residue_of_the_dense_oracle(rng, field):
+    # the residues of GF(2^61 − 1) are large ints, not cached small ones
+    def shifted(rhs, diff):
+        return Matrix(field, [[field.add(x, d) for x, d in zip(row, drow)]
+                              for row, drow in zip(rhs.data, diff.data)], rhs.cols)
+
+    pairs = []
+    for density in (0, 0.05, 0.3, 1):
+        for _ in range(10):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            rhs = rand_matrix(rng, field, rows, cols, denom=True)
+            pairs.append((shifted(rhs, rand_sparse_matrix(
+                rng, field, rows, cols, density, denom=True)), rhs))
+    # ties: every nonzero difference is ±t, so several entries share the
+    # largest norm, and over Q the first of them fixes the residue's sign
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(2, 6)
+        t = field.from_int(rng.choice([1, 2, -5, 10**30]))
+        choices = [field.zero(), t, field.neg(t)]
+        diff = Matrix(field, [[rng.choice(choices) for _ in range(cols)]
+                              for _ in range(rows)], cols)
+        rhs = rand_matrix(rng, field, rows, cols)
+        pairs.append((shifted(rhs, diff), rhs))
+    # the largest coassociativity sides of cyclic Z/14, unequal in the last entry
+    rhs = rand_matrix(rng, field, 2744, 14)
+    diff = Matrix.zeros(field, 2744, 14)
+    diff.data[-1][-1] = field.from_int(rng.randint(1, 3))
+    pairs.append((shifted(rhs, diff), rhs))
+
+    failing = 0
+    for lhs, rhs in pairs:
+        worst = dense_residue(lhs, rhs)
+        check = check_equal("law", lhs, rhs)
+        assert (check.passed, check.residue) == \
+            (not worst, field.format(worst) if worst else "0")
+        assert check.passed == (lhs == rhs)
+        failing += not check.passed
+    assert 0 < failing < len(pairs)
+    assert not check.passed     # the 2744 × 14 pair, which comes last
 
 
 def run_document(command, doc):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from tannakit import (GF, FiberFunctor, Generator, Matrix, PresentedCategory,
 from tannakit import coend
 from tannakit.catpres import path_eval
 from tannakit.coend import coevaluation, nat_to_pairing, pairing_to_nat
+from tannakit.fields import InputError
 from tannakit.linalg import SubspaceBasis, inverse
 
-from conftest import (FIXTURES, cyclic_document, dense_nat_space, kills_relations,
-                      load_fixture, rand_invertible, rand_matrix, relation_vectors,
-                      run_cli)
+from conftest import (FIXTURES, bare_object, cyclic_document, dense_nat_space,
+                      kills_relations, load_fixture, rand_invertible, rand_matrix,
+                      relation_vectors, run_cli)
 
 
 def single_object(dim, rng=None, gens=0):
@@ -384,3 +386,19 @@ def test_counit_laws_all_fixtures():
         ident = Matrix.identity(QQ, P.quotient_dim)
         assert kron(eps, ident) @ delta == ident
         assert kron(ident, eps) @ delta == ident
+
+
+def test_cocomposition_refuses_an_oversized_delta_before_building_its_rows():
+    # K^40: End^∨ has dimension 1600, so Δ's ambient map is 1600² × 1600
+    cat, F = bare_object(40, GF(101))
+    P = natvee(cat, F, F)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            cocomposition(P, P, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.source == "document"
+    assert str(info.value).startswith("a 2560000 x 1600 matrix exceeds")
+    assert peak < 1 << 20
