@@ -60,6 +60,7 @@ class CoendPresentation:
         for obj, fd, gd in self.object_index:
             self.offsets[obj] = self.ambient_dim
             self.ambient_dim += fd * gd
+        refuse_oversized(self.ambient_dim, self.ambient_dim)
         self.relation_span = SubspaceBasis(
             self.field, self.ambient_dim, _relation_rows(category, F, G, self.offsets))
         self.proj, self.free = quotient(self.ambient_dim, self.relation_span)

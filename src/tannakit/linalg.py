@@ -26,9 +26,10 @@ A dense matrix holds at most ``MAX_DENSE_ENTRIES`` entries.
 ``kron`` and ``kron_apply``, refuses a larger one through
 ``refuse_oversized`` with an ``InputError`` sourced ``document``, before
 anything is allocated.  ``quotient`` asks the same of its projection
-before it writes the kernel rows, and ``coend.cocomposition`` of Δ's
-ambient map before it allocates its rows, since their count alone can
-exhaust memory.
+before it writes the kernel rows, ``CoendPresentation`` of ambient ×
+ambient before it eliminates the relations (the echelon and ``proj`` fit
+in that square), and ``coend.cocomposition`` of Δ's ambient map before
+it allocates its rows, since their count alone can exhaust memory.
 
 The kernels (``sparse_rows``, ``sparse_cols``, ``@``, ``kron``,
 ``kron_apply`` and the elimination) test a scalar by the rule of

@@ -1,12 +1,14 @@
 """Symmetric monoidal expression calculus over strict words of atoms.
 
 Expressions are built from identities and adjacent symmetries ψ with
-composition and tensor; equality of two expressions with the same
-boundary words is decided by comparing their underlying permutations,
-and can be cross-checked by exact matrix evaluation in Vec.  That oracle
-composes the expression's permutation of tensor basis vectors as an index
-tuple and materializes one matrix per expression, after bounding the word
-dimension by ``MAX_WORD_DIM``.
+composition and tensor.  Each node computes, in its constructor, its
+boundary words, its letter permutation ``perm`` and its canonical
+``text``.  Equality of two expressions with the same boundary words is
+decided by comparing ``perm``, and can be cross-checked by exact matrix
+evaluation in Vec.  That oracle composes each node's ``basis_perm``, its
+permutation of tensor basis vectors as an index tuple, and materializes
+one matrix per expression, after bounding the word dimension by
+``MAX_WORD_DIM``.
 
 Also houses dual pairings (evaluation/coevaluation), whose two snake
 composites are written once in ``snake_maps`` for both ``check_triangles``
@@ -35,26 +37,34 @@ class ExprError(InputError):
 
 
 class SymExpr:
-    """Base class; subclasses carry domain/codomain words."""
+    """Base class.  ``perm`` maps position i ↦ perm[i]; ``basis_perm(dims)``,
+    where the node sends each basis vector of its domain word, composes
+    the children's index maps and never reads ``perm``, so that the
+    matrix oracle stays independent of it."""
 
     domain: Word
     codomain: Word
+    perm: tuple
+    text: str
 
     def __eq__(self, other):
-        return isinstance(other, SymExpr) and format_expr(self) == format_expr(other)
+        return isinstance(other, SymExpr) and self.text == other.text
 
     def __hash__(self):
-        return hash(format_expr(self))
+        return hash(self.text)
 
     def __repr__(self):
-        return format_expr(self)
+        return self.text
 
 
 class Identity(SymExpr):
     def __init__(self, word):
-        self.word = tuple(word)
-        self.domain = self.word
-        self.codomain = self.word
+        self.word = self.domain = self.codomain = tuple(word)
+        self.perm = tuple(range(len(self.word)))
+        self.text = "id[" + ",".join(self.word) + "]"
+
+    def basis_perm(self, dims):
+        return tuple(range(_word_dim(self.word, dims)))
 
 
 class AdjacentSwap(SymExpr):
@@ -63,12 +73,16 @@ class AdjacentSwap(SymExpr):
         if not (0 <= pos <= len(word) - 2):
             raise ExprError("swap position %d out of range for word of length %d"
                             % (pos, len(word)))
-        self.word = word
+        self.word = self.domain = word
         self.pos = pos
-        self.domain = word
-        out = list(word)
-        out[pos], out[pos + 1] = out[pos + 1], out[pos]
-        self.codomain = tuple(out)
+        self.codomain = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
+        self.perm = tuple(range(pos)) + (pos + 1, pos) + tuple(range(pos + 2, len(word)))
+        self.text = "swap[" + ",".join(word) + ";" + str(pos) + "]"
+
+    def basis_perm(self, dims):
+        w, i = self.word, self.pos
+        return middle_swap(_word_dim(w[:i], dims), dims[w[i]], dims[w[i + 1]],
+                           _word_dim(w[i + 2:], dims))
 
 
 class Compose(SymExpr):
@@ -80,6 +94,12 @@ class Compose(SymExpr):
         self.then = then
         self.domain = first.domain
         self.codomain = then.codomain
+        self.perm = tuple(then.perm[i] for i in first.perm)
+        self.text = "(" + first.text + " ; " + then.text + ")"
+
+    def basis_perm(self, dims):
+        q = self.then.basis_perm(dims)
+        return tuple(q[i] for i in self.first.basis_perm(dims))
 
 
 class Tensor(SymExpr):
@@ -88,31 +108,12 @@ class Tensor(SymExpr):
         self.right = right
         self.domain = left.domain + right.domain
         self.codomain = left.codomain + right.codomain
+        n = len(left.perm)
+        self.perm = left.perm + tuple(n + j for j in right.perm)
+        self.text = "(" + left.text + " * " + right.text + ")"
 
-
-def perm_of(e: SymExpr):
-    """Destination map of the expression: position i ↦ perm[i].
-
-    Identities give the identity permutation, an adjacent swap the
-    transposition (i, i+1), composition the product (second applied after
-    first) and tensor the block-juxtaposed permutation.
-    """
-    if isinstance(e, Identity):
-        return tuple(range(len(e.word)))
-    if isinstance(e, AdjacentSwap):
-        out = list(range(len(e.word)))
-        out[e.pos], out[e.pos + 1] = out[e.pos + 1], out[e.pos]
-        return tuple(out)
-    if isinstance(e, Compose):
-        p = perm_of(e.first)
-        q = perm_of(e.then)
-        return tuple(q[p[i]] for i in range(len(p)))
-    if isinstance(e, Tensor):
-        p = perm_of(e.left)
-        q = perm_of(e.right)
-        n = len(p)
-        return p + tuple(n + j for j in q)
-    raise ExprError("not a SymExpr: %r" % (e,))
+    def basis_perm(self, dims):
+        return kron_perm(self.left.basis_perm(dims), self.right.basis_perm(dims))
 
 
 def coherence_equal(e1: SymExpr, e2: SymExpr) -> bool:
@@ -123,7 +124,7 @@ def coherence_equal(e1: SymExpr, e2: SymExpr) -> bool:
     """
     if e1.domain != e2.domain or e1.codomain != e2.codomain:
         raise ExprError("expressions do not share boundary words")
-    return perm_of(e1) == perm_of(e2)
+    return e1.perm == e2.perm
 
 
 def evaluations_equal(e1: SymExpr, e2: SymExpr, dims) -> bool:
@@ -135,7 +136,7 @@ def evaluations_equal(e1: SymExpr, e2: SymExpr, dims) -> bool:
     dimension at least 2 to different places.  With every dimension at
     least 2 this is ``coherence_equal``.
     """
-    return all(a == b for a, b, atom in zip(perm_of(e1), perm_of(e2), e1.domain)
+    return all(a == b for a, b, atom in zip(e1.perm, e2.perm, e1.domain)
                if dims[atom] > 1)
 
 
@@ -169,23 +170,7 @@ def _word_dim(word, dims):
 
 
 def _eval(e, dims, field):
-    return perm_matrix(field, _basis_perm(e, dims))
-
-
-def _basis_perm(e, dims):
-    """Where the expression sends each basis vector of its domain word."""
-    if isinstance(e, Identity):
-        return tuple(range(_word_dim(e.word, dims)))
-    if isinstance(e, AdjacentSwap):
-        return middle_swap(_word_dim(e.word[:e.pos], dims), dims[e.word[e.pos]],
-                           dims[e.word[e.pos + 1]], _word_dim(e.word[e.pos + 2:], dims))
-    if isinstance(e, Compose):
-        p = _basis_perm(e.first, dims)
-        q = _basis_perm(e.then, dims)
-        return tuple(q[i] for i in p)
-    if isinstance(e, Tensor):
-        return kron_perm(_basis_perm(e.left, dims), _basis_perm(e.right, dims))
-    raise ExprError("not a SymExpr: %r" % (e,))
+    return perm_matrix(field, e.basis_perm(dims))
 
 
 # -- dual pairings -----------------------------------------------------
@@ -254,23 +239,7 @@ def dual_map(f: Matrix, p_dom: DualPairing, p_cod: DualPairing) -> Matrix:
             @ curry(p_dom.eval, dx, dx))
 
 
-# -- canonical text form ----------------------------------------------
-
-
-def format_word(word) -> str:
-    return "[" + ",".join(word) + "]"
-
-
-def format_expr(e: SymExpr) -> str:
-    if isinstance(e, Identity):
-        return "id" + format_word(e.word)
-    if isinstance(e, AdjacentSwap):
-        return "swap[" + ",".join(e.word) + ";" + str(e.pos) + "]"
-    if isinstance(e, Compose):
-        return "(" + format_expr(e.first) + " ; " + format_expr(e.then) + ")"
-    if isinstance(e, Tensor):
-        return "(" + format_expr(e.left) + " * " + format_expr(e.right) + ")"
-    raise ExprError("not a SymExpr: %r" % (e,))
+# -- parsing the canonical text form ----------------------------------
 
 
 def parse_expr(text: str) -> SymExpr:

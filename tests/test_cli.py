@@ -338,6 +338,29 @@ def test_an_oversized_dense_matrix_is_refused_before_it_is_allocated(command, di
         in error["message"]
 
 
+@pytest.mark.parametrize("dim", [77, 100, 200])
+@pytest.mark.parametrize("command", ["nat", "lift", "reconstruct"])
+def test_a_coend_too_large_to_eliminate_is_refused_before_its_relations(command, dim):
+    # one dense generator g: a → a gives d² relation rows in an ambient of
+    # dimension d², whose echelon and projection fit in d² × d²; that square
+    # is refused before a row is built (at d = 100 elimination used to run
+    # for a minute, at d = 200 out of memory), and d = 76 is still admitted
+    assert 76 ** 4 <= MAX_DENSE_ENTRIES < 77 ** 4
+    g = [[str((7 * i + 3 * j + 1) % 101) for j in range(dim)] for i in range(dim)]
+    doc = {"field": {"Fp": 101}, "objects": ["a"],
+           "generators": [{"name": "g", "src": "a", "dst": "a"}],
+           "functor": {"on_objects": {"a": dim}, "on_generators": {"g": g}}}
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    code, out, err = run_cli([command, "--json"], text)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"] == {
+        "source": "document",
+        "message": "a %d x %d matrix exceeds the limit of %d dense entries"
+                   % (dim * dim, dim * dim, MAX_DENSE_ENTRIES)}
+
+
 def test_the_dense_limit_lies_between_schur_weyl_2_4_and_3_3():
     assert 24_010_000 <= MAX_DENSE_ENTRIES < 48_400 * 820
     refuse_oversized(1, MAX_DENSE_ENTRIES)

@@ -6,8 +6,7 @@ from tannakit import (Matrix, QQ, check_triangles, coherence_equal, dual_map,
                       eval_in_vec, kron, standard_pairing)
 from tannakit.linalg import inverse
 from tannakit.moncat import (MAX_EXPR_DEPTH, MAX_WORD_DIM, AdjacentSwap, Compose, DualPairing,
-                             ExprError, Identity, evaluations_equal, format_expr,
-                             parse_expr, perm_of)
+                             ExprError, Identity, evaluations_equal, parse_expr)
 
 from conftest import dense_swap, rand_invertible, rand_matrix
 
@@ -16,14 +15,14 @@ W3 = ("x", "y", "z")
 
 
 def test_perm_identity():
-    assert perm_of(Identity(W3)) == (0, 1, 2)
+    assert Identity(W3).perm == (0, 1, 2)
 
 
 def test_perm_hexagon_composite_is_cycle():
     # swap at 0 then swap at 1 moves the first letter to the last position,
     # the composite arrow of the hexagon diagram
     e = Compose(AdjacentSwap(W3, 0), AdjacentSwap(("y", "x", "z"), 1))
-    assert perm_of(e) == (2, 0, 1)
+    assert e.perm == (2, 0, 1)
     assert e.codomain == ("y", "z", "x")
 
 
@@ -36,7 +35,7 @@ def test_perm_braid_cube_is_identity():
         s1 = AdjacentSwap(s0.codomain, 1)
         e = Compose(e, Compose(s0, s1))
         word = s1.codomain
-    assert perm_of(e) == (0, 1, 2)
+    assert e.perm == (0, 1, 2)
     assert word == W3
 
 
@@ -45,8 +44,8 @@ def test_perm_respects_composition(rng):
         a = AdjacentSwap(W3, rng.randint(0, 1))
         b = AdjacentSwap(a.codomain, rng.randint(0, 1))
         comp = Compose(a, b)
-        pa, pb = perm_of(a), perm_of(b)
-        assert perm_of(comp) == tuple(pb[pa[i]] for i in range(3))
+        pa, pb = a.perm, b.perm
+        assert comp.perm == tuple(pb[pa[i]] for i in range(3))
 
 
 def test_coherence_swap_squared_is_identity():
@@ -159,7 +158,7 @@ def test_eval_rejects_word_dimension_above_cap():
 
 def test_coherence_soundness_at_dimension_one(rng):
     # equal expressions evaluate equal even when some dims are 1; unequal
-    # ones may too, exactly when evaluations_equal reads it off perm_of
+    # ones may too, exactly when evaluations_equal reads it off .perm
     swap, ident = AdjacentSwap(("a", "a"), 0), Identity(("a", "a"))
     assert evaluations_equal(swap, ident, {"a": 1})
     assert not evaluations_equal(swap, ident, {"a": 2})
@@ -257,8 +256,8 @@ def test_parse_format_roundtrip():
                  "(swap[a,b;0] * id[c])",
                  "((swap[a,b;0] ; swap[b,a;0]) * id[c])"]:
         expr = parse_expr(text)
-        assert format_expr(expr) == text
-        assert parse_expr(format_expr(expr)) == expr
+        assert expr.text == text
+        assert parse_expr(expr.text) == expr
 
 
 def test_parse_empty_word():
@@ -278,6 +277,6 @@ def test_parse_nesting_is_bounded():
     expr = "id[a]"
     for _ in range(MAX_EXPR_DEPTH):
         expr = "(%s ; id[a])" % expr
-    assert perm_of(parse_expr(expr)) == (0,)
+    assert parse_expr(expr).perm == (0,)
     with pytest.raises(ExprError, match="nests deeper"):
         parse_expr("(%s ; id[a])" % expr)
